@@ -17,12 +17,17 @@ returned:
 * ``Easy`` carries the decomposition (proved equivalent to the filter) and
   the envelope words (whose star product provably includes the filter).
 
-Detection reduces the cycle condition to a regular inclusion: for each
-state q inside a cycle-bearing component, take a shortest cycle u at q and
-test whether every cycle at q is a power of u's primitive root x. A
-counterexample cycle v cannot commute with u (two commuting cycles are
-powers of one root), so (u v, v u) is an equal-length, prefix-incomparable
-pair witnessing hardness.
+Detection reads the shape of the strongly connected components (Ginsburg
+& Spanier's characterization of bounded languages): the trimmed machine is
+easy exactly when each nontrivial component is one simple cycle, i.e. each
+of its states has exactly one successor inside it. Otherwise the witness
+sits at the smallest state q of a *branching* component. A shortest cycle
+u at q is a simple path, and every word of x* (x the primitive root of u)
+read from q follows that path, so the component's extra edge yields a cycle
+v at q outside x*; a single regular-inclusion check finds the shortest such
+v. v cannot commute with u (two commuting cycles are powers of one root),
+so (u v, v u) is an equal-length, prefix-incomparable pair witnessing
+hardness. Easy machines make no inclusion check at all.
 """
 
 from __future__ import annotations
@@ -183,26 +188,40 @@ def _power_dfa(x: str, alphabet) -> Dfa:
     return Dfa(tuple(alphabet), frozenset(range(n)), 0, frozenset({0}), transitions)
 
 
+def _inner_successors(d: Dfa, q: int, scc_of) -> list[tuple[str, int]]:
+    """Edges out of q that stay inside q's component, in alphabet order."""
+    return [
+        (sym, t)
+        for sym in d.alphabet
+        if (t := d.transitions.get((q, sym))) is not None and scc_of[t] == scc_of[q]
+    ]
+
+
 def _find_witness(ft: Dfa) -> HardnessWitness | None:
-    """Scan the trimmed machine for a state with prefix-incomparable cycles."""
+    """Witness at the smallest state of a branching component of the
+    trimmed machine, or None when every nontrivial component is a ring."""
     cond = condense(ft)
-    for q in sorted(ft.states):
-        comp_idx = cond.scc_of[q]
-        if not cond.nontrivial[comp_idx]:
-            continue
-        component = cond.components[comp_idx]
-        u0 = _shortest_cycle(ft, q, component)
-        x = primitive_root(u0)
-        v0 = inclusion_counterexample(_power_dfa(x, ft.alphabet),
-                                      _cycle_nfa(ft, q, component))
-        if v0 is None:
-            continue
-        cycle_a, cycle_b = normalize_witness(u0, v0)
-        access = _shortest_path_word(ft, {ft.initial}, {q})
-        exit_word = _shortest_path_word(ft, {q}, ft.accepting)
-        assert access is not None and exit_word is not None
-        return HardnessWitness(q, access, cycle_a, cycle_b, exit_word)
-    return None
+    # components are numbered by their smallest state, so the first
+    # branching one holds the smallest state of any branching component
+    for comp_idx, component in enumerate(cond.components):
+        if cond.nontrivial[comp_idx] and any(
+                len(_inner_successors(ft, p, cond.scc_of)) != 1 for p in component):
+            break
+    else:
+        return None
+    q = min(component)
+    u0 = _shortest_cycle(ft, q, component)
+    x = primitive_root(u0)
+    v0 = inclusion_counterexample(_power_dfa(x, ft.alphabet),
+                                  _cycle_nfa(ft, q, component))
+    if v0 is None:
+        raise CertificateError(f"branching component at state {q} has no cycle outside {x}*")
+    cycle_a, cycle_b = normalize_witness(u0, v0)
+    access = _shortest_path_word(ft, {ft.initial}, {q})
+    exit_word = _shortest_path_word(ft, {q}, ft.accepting)
+    if access is None or exit_word is None:
+        raise CertificateError(f"witness state {q} is not live in the trimmed filter")
+    return HardnessWitness(q, access, cycle_a, cycle_b, exit_word)
 
 
 def verify_witness(f: Dfa, w: HardnessWitness) -> None:
@@ -231,17 +250,15 @@ def verify_witness(f: Dfa, w: HardnessWitness) -> None:
 def _forced_ring(d: Dfa, entry: int, component, scc_of) -> tuple[str, list[int]]:
     """The unique cycle through an easy machine's component, starting at
     `entry`. Returns its label and the visited states in order."""
-    comp_idx = scc_of[entry]
     word = []
     ring = [entry]
     q = entry
     while True:
-        succs = [
-            (sym, t)
-            for sym in d.alphabet
-            if (t := d.transitions.get((q, sym))) is not None and scc_of[t] == comp_idx
-        ]
-        assert len(succs) == 1, "easy component must have exactly one inner successor per state"
+        succs = _inner_successors(d, q, scc_of)
+        if len(succs) != 1:
+            raise CertificateError(
+                f"state {q} has {len(succs)} successors inside its component;"
+                " an easy component is a single ring")
         sym, q = succs[0]
         word.append(sym)
         if q == entry:
@@ -302,23 +319,40 @@ def _easy_exprs(ft: Dfa) -> tuple[BoundedExpr, ...]:
     return tuple(dict.fromkeys(out))
 
 
+def _factors(e: BoundedExpr) -> list[str]:
+    """The prefix letters, then per block its loop word and bridge letters."""
+    factors = list(e.prefix)
+    for loop, bridge in e.blocks:
+        factors.append(loop)
+        factors.extend(bridge)
+    return factors
+
+
 def _envelope_of(exprs) -> tuple[str, ...]:
-    """Envelope factors: in expression order, each prefix/bridge letter and
-    each loop word; consecutive duplicates merge (w* w* = w*)."""
-    factors: list[str] = []
-
-    def push(word: str) -> None:
-        if not factors or factors[-1] != word:
-            factors.append(word)
-
+    """Envelope factors: every expression's factors in expression order;
+    consecutive duplicates merge (w* w* = w*)."""
+    words: list[str] = []
     for e in exprs:
-        for c in e.prefix:
-            push(c)
-        for loop, bridge in e.blocks:
-            push(loop)
-            for c in bridge:
-                push(c)
-    return tuple(factors)
+        for factor in _factors(e):
+            if not words or words[-1] != factor:
+                words.append(factor)
+    return tuple(words)
+
+
+def _embeds(factors, words) -> bool:
+    """Can each factor, in order, go to an envelope word at or after the
+    previous one's of which it is a positive power? Greedy earliest choice
+    finds such a placement whenever one exists."""
+    i = 0
+    for factor in factors:
+        while i < len(words):
+            k, rest = divmod(len(factor), len(words[i]))
+            if not rest and words[i] * k == factor:
+                break
+            i += 1
+        else:
+            return False
+    return True
 
 
 def expr_to_nfa(e: BoundedExpr, alphabet) -> Nfa:
@@ -381,18 +415,38 @@ def _star_product_nfa(words, alphabet) -> Nfa:
 
 def verify_easy(f: Dfa, decomposition, envelope) -> None:
     """Check an easy certificate: the decomposition's union must equal the
-    filter's language and the envelope's star product must include it."""
+    filter's language and the envelope's star product must include it.
+
+    Equality is decided by `separating_word`. Given it, the inclusion
+    L(f) ⊆ w1* ... wn* follows when each expression's factors (prefix
+    letters, then per block the loop word and the bridge letters) embed in
+    order into the envelope: a factor may go to any word w it is a positive
+    power of, since w* then holds every power of the factor, and the
+    envelope index never moves backwards. Envelopes built by `classify`
+    always embed. Only when some expression does not is the inclusion
+    decided exactly, by determinizing the star product; the shortest filter
+    word it misses is then reported.
+    """
     alphabet = f.alphabet
     union = nfa_union([expr_to_nfa(e, alphabet) for e in decomposition], alphabet)
     gap = separating_word(union, f.to_nfa())
     if gap is not None:
         raise CertificateError(
             f"decomposition differs from the filter on {word_to_text(gap)!r}")
-    env_dfa = determinize(_star_product_nfa(envelope, alphabet))
-    leak = inclusion_counterexample(env_dfa, f.to_nfa())
-    if leak is not None:
-        raise CertificateError(
-            f"envelope star product misses the filter word {word_to_text(leak)!r}")
+    alpha = set(alphabet)
+    for word in envelope:
+        if not word:
+            raise CertificateError("envelope contains the empty word")
+        for c in word:
+            if c not in alpha:
+                # the error the star-product construction gives for it
+                raise ValueError(f"transition symbol {c!r} not in alphabet")
+    if not all(_embeds(_factors(e), envelope) for e in decomposition):
+        env_dfa = determinize(_star_product_nfa(envelope, alphabet))
+        leak = inclusion_counterexample(env_dfa, f.to_nfa())
+        if leak is not None:
+            raise CertificateError(
+                f"envelope star product misses the filter word {word_to_text(leak)!r}")
     for e in decomposition:
         for loop, _ in e.blocks:
             if not loop:

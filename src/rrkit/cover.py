@@ -87,7 +87,8 @@ def _build_dispatch(plan: CoverPlan, access: str, in_alphabet) -> Dfst:
     def add(src, sym, out, dst):
         prior = transitions.get((src, sym))
         if prior is not None:
-            assert prior == (out, dst), "dispatch trie collision"
+            if prior != (out, dst):
+                raise CertificateError(f"dispatch trie collision at {src!r} on {sym!r}")
             return
         transitions[(src, sym)] = (out, dst)
 

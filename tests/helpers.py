@@ -5,7 +5,34 @@ the library's constructions, so they can serve as cross-checks."""
 import itertools
 import random
 
-from rrkit import Dfa, Dfst, Nfa
+from rrkit import (
+    CertificateError,
+    Dfa,
+    Dfst,
+    Easy,
+    Hard,
+    HardnessWitness,
+    Nfa,
+    canonical_nfa,
+    classification_to_text,
+    condense,
+    determinize,
+    expr_to_nfa,
+    inclusion_counterexample,
+    nfa_union,
+    normalize_witness,
+    primitive_root,
+    separating_word,
+    trim,
+    verify_witness,
+)
+from rrkit.automata import word_to_text
+from rrkit.classify import (
+    _easy_exprs,
+    _envelope_of,
+    _shortest_cycle,
+    _shortest_path_word,
+)
 
 
 def words_upto(alphabet, n):
@@ -231,3 +258,158 @@ def random_dfst(rng: random.Random, n, in_alphabet=("a", "b"),
             final_output[q] = "".join(rng.choice(out_alphabet) for _ in range(length))
     return Dfst(tuple(in_alphabet), tuple(out_alphabet), frozenset(range(n)), 0,
                 accepting, trans, final_output)
+
+
+# ---------------------------------------------------------------------------
+# reference classifier: the per-state witness search and the star-product
+# envelope check as the library first ran them, kept as differential
+# oracles for the structural fast paths in rrkit.classify
+
+
+def _oracle_cycle_nfa(d: Dfa, q: int, component) -> Nfa:
+    """All words looping at q while staying inside q's component."""
+    triples = tuple(
+        (src, sym, dst)
+        for (src, sym), dst in sorted(d.transitions.items())
+        if src in component and dst in component
+    )
+    return Nfa(d.alphabet, frozenset(component), frozenset({q}),
+               frozenset({q}), triples)
+
+
+def _oracle_power_dfa(x: str, alphabet) -> Dfa:
+    """Machine for x*: a cycle of |x| states reading x."""
+    n = len(x)
+    transitions = {(i, x[i]): (i + 1) % n for i in range(n)}
+    return Dfa(tuple(alphabet), frozenset(range(n)), 0, frozenset({0}), transitions)
+
+
+def oracle_find_witness(ft: Dfa):
+    """One regular-inclusion check per cycle-bearing state of the trimmed
+    machine: is every cycle at q a power of its shortest cycle's root?"""
+    cond = condense(ft)
+    for q in sorted(ft.states):
+        comp_idx = cond.scc_of[q]
+        if not cond.nontrivial[comp_idx]:
+            continue
+        component = cond.components[comp_idx]
+        u0 = _shortest_cycle(ft, q, component)
+        x = primitive_root(u0)
+        v0 = inclusion_counterexample(_oracle_power_dfa(x, ft.alphabet),
+                                      _oracle_cycle_nfa(ft, q, component))
+        if v0 is None:
+            continue
+        cycle_a, cycle_b = normalize_witness(u0, v0)
+        access = _shortest_path_word(ft, {ft.initial}, {q})
+        exit_word = _shortest_path_word(ft, {q}, ft.accepting)
+        return HardnessWitness(q, access, cycle_a, cycle_b, exit_word)
+    return None
+
+
+def _oracle_star_product_nfa(words, alphabet) -> Nfa:
+    """Recognizer of w1* w2* ... wn* (the empty product is {empty word})."""
+    alphabet = tuple(alphabet)
+    triples = []
+    count = 1
+    anchor = 0
+    for word in words:
+        back = anchor
+        for c in word[:-1]:
+            triples.append((back, c, count))
+            back = count
+            count += 1
+        triples.append((back, word[-1], anchor))
+        triples.append((anchor, None, count))
+        anchor = count
+        count += 1
+    raw = Nfa(alphabet, frozenset(range(count)), frozenset({0}),
+              frozenset({anchor}), tuple(triples))
+    return canonical_nfa(raw)
+
+
+def oracle_verify_easy(f: Dfa, decomposition, envelope) -> None:
+    """Decomposition equivalence, then envelope inclusion decided exactly by
+    determinizing the envelope's star product."""
+    alphabet = f.alphabet
+    union = nfa_union([expr_to_nfa(e, alphabet) for e in decomposition], alphabet)
+    gap = separating_word(union, f.to_nfa())
+    if gap is not None:
+        raise CertificateError(
+            f"decomposition differs from the filter on {word_to_text(gap)!r}")
+    env_dfa = determinize(_oracle_star_product_nfa(envelope, alphabet))
+    leak = inclusion_counterexample(env_dfa, f.to_nfa())
+    if leak is not None:
+        raise CertificateError(
+            f"envelope star product misses the filter word {word_to_text(leak)!r}")
+    for e in decomposition:
+        for loop, _ in e.blocks:
+            if not loop:
+                raise CertificateError("decomposition contains an empty loop word")
+
+
+def oracle_classification_text(f: Dfa) -> str:
+    """Certificate text built with the reference witness search and the
+    reference envelope check."""
+    ft = trim(f)
+    witness = oracle_find_witness(ft)
+    if witness is not None:
+        verify_witness(ft, witness)
+        return classification_to_text(Hard(witness))
+    exprs = _easy_exprs(ft)
+    words = _envelope_of(exprs)
+    oracle_verify_easy(ft, exprs, words)
+    return classification_to_text(Easy(exprs, words))
+
+
+def outcome(fn, *args):
+    """None when fn(*args) returns, else the raised exception's type name
+    and message."""
+    try:
+        fn(*args)
+    except Exception as exc:  # noqa: BLE001 - the comparison wants every kind
+        return type(exc).__name__, str(exc)
+    return None
+
+
+# ---------------------------------------------------------------------------
+# filter shapes: rings, diamonds and planted-hard machines
+
+
+def ring_filter(rng: random.Random, n, accepts, alphabet=("a", "b")) -> Dfa:
+    """One simple n-cycle with `accepts` accepting states (at most n)."""
+    word = [rng.choice(alphabet) for _ in range(n)]
+    trans = {(q, word[q]): (q + 1) % n for q in range(n)}
+    accepting = frozenset(rng.sample(range(n), accepts))
+    return Dfa(tuple(alphabet), frozenset(range(n)), 0, accepting, trans)
+
+
+def diamond_filter(k, loop_at=None) -> Dfa:
+    """k two-way branches in a chain: hub i reads `ab` or `ba` through a
+    middle state into hub i+1; only the last hub accepts. `loop_at`
+    (hub index, branch) adds a self-loop on that middle state reading the
+    letter that entered it."""
+    trans = {}
+    for i in range(k):
+        for branch, (first, second) in enumerate(("ab", "ba")):
+            mid = 3 * i + 1 + branch
+            trans[(3 * i, first)] = mid
+            trans[(mid, second)] = 3 * (i + 1)
+    if loop_at is not None:
+        i, branch = loop_at
+        mid = 3 * i + 1 + branch
+        trans[(mid, "ab"[branch])] = mid
+    return Dfa(("a", "b"), frozenset(range(3 * k + 1)), 0, frozenset({3 * k}), trans)
+
+
+def planted_hard_filter(rng: random.Random, n) -> Dfa:
+    """Random complete DFA over {a, b} (n >= 2) in which an accepting state
+    x, reachable from 0, carries an `a`-loop and a `bb`-cycle."""
+    x, y = rng.sample(range(n), 2)
+    trans = {(q, s): rng.randrange(n) for q in range(n) for s in "ab"}
+    trans[(x, "a")] = x
+    trans[(x, "b")] = y
+    trans[(y, "b")] = x
+    if 0 not in (x, y):
+        trans[(0, "a")] = x
+    accepting = frozenset({x} | {q for q in range(n) if rng.random() < 0.3})
+    return Dfa(("a", "b"), frozenset(range(n)), 0, accepting, trans)

@@ -1,0 +1,211 @@
+"""The classifier's structural fast paths against the reference searches in
+helpers: identical certificate text, identical `verify_easy` outcomes and
+messages, and call counts that pin the easy path's complexity."""
+
+import ast
+import importlib
+import pathlib
+import random
+
+import pytest
+
+import rrkit
+from helpers import (
+    diamond_filter,
+    enumerate_dfas,
+    oracle_classification_text,
+    oracle_verify_easy,
+    outcome,
+    planted_hard_filter,
+    random_dfa,
+    ring_filter,
+)
+from rrkit import (
+    CertificateError,
+    Easy,
+    Hard,
+    classification_to_text,
+    classify,
+    condense,
+    parse_dfa,
+    trim,
+    universal_dfa,
+    verify_easy,
+)
+from rrkit.classify import _forced_ring
+
+# the package re-exports the function `classify` under the module's name
+classify_module = importlib.import_module("rrkit.classify")
+
+SIGMA_STAR = universal_dfa(("a", "b"))
+
+
+def _assert_same_text(d):
+    assert classification_to_text(classify(d)) == oracle_classification_text(d)
+
+
+class TestClassifyTextMatchesOracle:
+    def test_every_two_state_machine(self):
+        for d in enumerate_dfas(2):
+            _assert_same_text(d)
+
+    @pytest.mark.parametrize("alphabet", [("a", "b"), ("a", "b", "c")])
+    def test_random_machines(self, alphabet):
+        rng = random.Random(83 + len(alphabet))
+        for _ in range(120):
+            density = rng.choice((0.3, 0.45, 0.6, 0.8))
+            _assert_same_text(random_dfa(rng, rng.randint(1, 8), alphabet,
+                                         density=density))
+
+    def test_rings(self):
+        rng = random.Random(89)
+        for n in (1, 2, 3, 5, 8, 13, 21, 30):
+            for accepts in {1, min(2, n), min(3, n)}:
+                _assert_same_text(ring_filter(rng, n, accepts))
+        _assert_same_text(ring_filter(rng, 12, 4, ("a", "b", "c")))
+
+    def test_diamonds(self):
+        for k in range(1, 6):
+            _assert_same_text(diamond_filter(k))
+            for i in range(k):
+                _assert_same_text(diamond_filter(k, loop_at=(i, (i + k) % 2)))
+
+    def test_planted_hard(self):
+        rng = random.Random(97)
+        for _ in range(25):
+            d = planted_hard_filter(rng, rng.randint(2, 30))
+            assert isinstance(classify(d), Hard)
+            _assert_same_text(d)
+
+
+def _envelope_mutants(words, alphabet):
+    words = tuple(words)
+    yield words
+    yield ()
+    yield words[::-1]
+    for i in range(len(words)):
+        yield words[:i] + words[i + 1:]
+        yield words[:i] + (words[i] * 2,) + words[i + 1:]
+        half = len(words[i]) // 2
+        if half and words[i] == words[i][:half] * 2:
+            yield words[:i] + (words[i][:half],) + words[i + 1:]
+        if i + 1 < len(words):
+            yield words[:i] + (words[i] + words[i + 1],) + words[i + 2:]
+    for i in range(len(words) + 1):
+        for c in alphabet:
+            yield words[:i] + (c,) + words[i:]
+    yield words + ("z",)
+    yield ("z",) + words
+    if words:
+        yield (words[0] + "z",) + words[1:]
+
+
+EASY_FILTERS = [
+    parse_dfa("dfa\nalphabet a b\nstates 0 1\ninitial 0\naccept 0 1\n"
+              "trans 0 a 0\ntrans 0 b 1\ntrans 1 b 1\n"),           # a*b*
+    parse_dfa("dfa\nalphabet a b\nstates 0 1\ninitial 0\naccept 0\n"
+              "trans 0 a 1\ntrans 1 b 0\n"),                         # (ab)*
+    parse_dfa("dfa\nalphabet a\nstates 0 1\ninitial 0\naccept 0\n"
+              "trans 0 a 1\ntrans 1 a 0\n"),                         # (aa)*
+    parse_dfa("dfa\nalphabet a b\nstates 0 1 2\ninitial 0\naccept 2\n"
+              "trans 0 a 1\ntrans 1 b 2\n"),                         # ab
+    diamond_filter(2),
+    diamond_filter(3, loop_at=(1, 0)),
+    ring_filter(random.Random(101), 6, 2),
+    ring_filter(random.Random(103), 9, 3, ("a", "b", "c")),
+]
+
+
+class TestVerifyEasyMatchesOracle:
+    @pytest.mark.parametrize("index", range(len(EASY_FILTERS)))
+    def test_mutated_envelopes(self, index):
+        f = EASY_FILTERS[index]
+        verdict = classify(f)
+        assert isinstance(verdict, Easy)
+        ft = trim(f)
+        seen = set()
+        for words in _envelope_mutants(verdict.envelope, f.alphabet):
+            if words in seen:
+                continue
+            seen.add(words)
+            args = (ft, verdict.decomposition, words)
+            assert outcome(verify_easy, *args) == outcome(oracle_verify_easy, *args), words
+
+    def test_random_easy_filters(self):
+        rng = random.Random(107)
+        checked = 0
+        while checked < 12:
+            f = trim(random_dfa(rng, rng.randint(2, 5), density=0.45))
+            verdict = classify(f)
+            if not isinstance(verdict, Easy) or len(verdict.envelope) > 12:
+                continue
+            checked += 1
+            for words in _envelope_mutants(verdict.envelope, f.alphabet):
+                args = (f, verdict.decomposition, words)
+                assert outcome(verify_easy, *args) == outcome(oracle_verify_easy, *args)
+
+    def test_envelope_needing_the_exact_check_is_accepted(self):
+        # "ab" absorbs the language {ab} although neither letter alone is a
+        # power of it, so the inclusion is decided without the embedding
+        f = EASY_FILTERS[3]
+        verdict = classify(f)
+        assert verdict.envelope == ("a", "b")
+        assert outcome(verify_easy, f, verdict.decomposition, ("ab",)) is None
+
+    def test_empty_envelope_word_is_a_certificate_error(self):
+        f = EASY_FILTERS[0]
+        verdict = classify(f)
+        with pytest.raises(CertificateError, match="empty word"):
+            verify_easy(f, verdict.decomposition, ("a", "", "b"))
+
+
+class TestEasyPathCallCounts:
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = {"inclusion": 0, "determinize": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for attr, name in (("inclusion_counterexample", "inclusion"),
+                           ("determinize", "determinize")):
+            monkeypatch.setattr(classify_module, attr,
+                                counting(name, getattr(classify_module, attr)))
+        return counts
+
+    def test_ring_400_makes_no_inclusion_check(self, calls):
+        verdict = classify(ring_filter(random.Random(109), 400, 3))
+        assert isinstance(verdict, Easy)
+        assert calls == {"inclusion": 0, "determinize": 0}
+
+    def test_diamond_8_makes_no_inclusion_check(self, calls):
+        verdict = classify(diamond_filter(8))
+        assert isinstance(verdict, Easy) and len(verdict.decomposition) == 256
+        assert calls == {"inclusion": 0, "determinize": 0}
+
+    def test_sigma_star_makes_one_check(self, calls):
+        assert isinstance(classify(SIGMA_STAR), Hard)
+        assert calls["inclusion"] == 1
+
+    def test_planted_hard_makes_one_check(self, calls):
+        assert isinstance(classify(planted_hard_filter(random.Random(113), 200)), Hard)
+        assert calls["inclusion"] == 1
+
+
+class TestNoLibraryAsserts:
+    def test_forced_ring_rejects_branching_component(self):
+        cond = condense(SIGMA_STAR)
+        with pytest.raises(CertificateError):
+            _forced_ring(SIGMA_STAR, 0, cond.components[0], cond.scc_of)
+
+    def test_no_assert_statements_in_library(self):
+        root = pathlib.Path(rrkit.__file__).parent
+        found = []
+        for path in sorted(root.rglob("*.py")):
+            tree = ast.parse(path.read_text(), filename=str(path))
+            found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                      if isinstance(node, ast.Assert)]
+        assert not found, "library code must not rely on assert: " + ", ".join(found)
