@@ -6,6 +6,18 @@ order; that order drives breadth-first tie-breaking, so any witness word
 returned by an operation is shortest first, then lexicographically
 smallest. Every construction renumbers its result canonically (BFS
 discovery order), which makes serialization byte-stable.
+
+Inclusion, equivalence and intersection are decided without building a
+product: `_pair_search` walks pairs of side states breadth-first, in
+alphabet order, and stops at the first pair of the wanted kind. A Dfa side
+is a state, an Nfa side an epsilon-closed subset whose successors are
+computed (and memoised) only when the walk reaches them. Equivalence asks
+for the symmetric difference; there the search finishes the level where
+the first differing pair appears and returns the first left-only and the
+first right-only word of that level, and the caller keeps the smaller by
+`(len(w), w)`, i.e. Python's code-point order. That is the answer two
+one-sided inclusion checks give, also on an alphabet declared out of
+order such as `("b", "a")`.
 """
 
 from __future__ import annotations
@@ -389,12 +401,16 @@ def run(d: Dfa, word: str) -> bool:
     return q in d.accepting
 
 
-def _eps_adjacency(n: Nfa) -> dict[int, list[int]]:
+def _index(n: Nfa) -> tuple[dict[int, list[int]], dict[tuple[int, str], list[int]]]:
+    """Epsilon adjacency and move table of an Nfa, in transition order."""
     eps: dict[int, list[int]] = {}
+    moves: dict[tuple[int, str], list[int]] = {}
     for q, sym, t in n.transitions:
         if sym is EPS:
             eps.setdefault(q, []).append(t)
-    return eps
+        else:
+            moves.setdefault((q, sym), []).append(t)
+    return eps, moves
 
 
 def _closure(states, eps: dict[int, list[int]]) -> frozenset[int]:
@@ -409,21 +425,22 @@ def _closure(states, eps: dict[int, list[int]]) -> frozenset[int]:
     return frozenset(seen)
 
 
+def _subset_step(subset, sym, eps, moves) -> frozenset[int]:
+    """Closed successor subset of a closed subset on one symbol."""
+    nxt: set[int] = set()
+    for q in subset:
+        nxt.update(moves.get((q, sym), ()))
+    return _closure(nxt, eps) if nxt else frozenset()
+
+
 def run_nfa(n: Nfa, word: str) -> bool:
     alpha = set(n.alphabet)
-    eps = _eps_adjacency(n)
-    moves: dict[tuple[int, str], list[int]] = {}
-    for q, sym, t in n.transitions:
-        if sym is not EPS:
-            moves.setdefault((q, sym), []).append(t)
+    eps, moves = _index(n)
     cur = _closure(n.initial, eps)
     for c in word:
         if c not in alpha:
             raise AlphabetError(f"symbol {c!r} not in the machine's alphabet")
-        nxt = set()
-        for q in cur:
-            nxt.update(moves.get((q, c), ()))
-        cur = _closure(nxt, eps)
+        cur = _subset_step(cur, c, eps, moves)
     return bool(cur & n.accepting)
 
 
@@ -434,11 +451,7 @@ def run_nfa(n: Nfa, word: str) -> bool:
 def determinize(n: Nfa) -> Dfa:
     """Subset construction over epsilon closures; the output is partial
     (no transition where the successor subset would be empty)."""
-    eps = _eps_adjacency(n)
-    moves: dict[tuple[int, str], list[int]] = {}
-    for q, sym, t in n.transitions:
-        if sym is not EPS:
-            moves.setdefault((q, sym), []).append(t)
+    eps, moves = _index(n)
     start = _closure(n.initial, eps)
     ids: dict[frozenset[int], int] = {start: 0}
     queue = deque([start])
@@ -450,12 +463,9 @@ def determinize(n: Nfa) -> Dfa:
         if subset & n.accepting:
             accepting.add(i)
         for sym in n.alphabet:
-            nxt = set()
-            for q in subset:
-                nxt.update(moves.get((q, sym), ()))
-            if not nxt:
+            target = _subset_step(subset, sym, eps, moves)
+            if not target:
                 continue
-            target = _closure(nxt, eps)
             j = ids.get(target)
             if j is None:
                 j = ids[target] = len(ids)
@@ -502,14 +512,8 @@ def product_intersect(a: Nfa, b: Nfa) -> Nfa:
     side at a time. Requires equal alphabets (widen beforehand)."""
     if set(a.alphabet) != set(b.alphabet):
         raise AlphabetError("intersection requires equal alphabets; widen first")
-    a_eps: dict[int, list[int]] = {}
-    a_moves: dict[tuple[int, str], list[int]] = {}
-    for q, sym, t in a.transitions:
-        (a_eps.setdefault(q, []) if sym is EPS else a_moves.setdefault((q, sym), [])).append(t)
-    b_eps: dict[int, list[int]] = {}
-    b_moves: dict[tuple[int, str], list[int]] = {}
-    for q, sym, t in b.transitions:
-        (b_eps.setdefault(q, []) if sym is EPS else b_moves.setdefault((q, sym), [])).append(t)
+    a_eps, a_moves = _index(a)
+    b_eps, b_moves = _index(b)
 
     ids: dict[tuple[int, int], int] = {}
     queue: deque[tuple[int, int]] = deque()
@@ -549,11 +553,7 @@ def product_intersect(a: Nfa, b: Nfa) -> Nfa:
 def shortest_word(n: Nfa) -> str | None:
     """Shortest accepted word (lexicographic in alphabet order among ties),
     or None for the empty language. BFS over closure subsets."""
-    eps = _eps_adjacency(n)
-    moves: dict[tuple[int, str], list[int]] = {}
-    for q, sym, t in n.transitions:
-        if sym is not EPS:
-            moves.setdefault((q, sym), []).append(t)
+    eps, moves = _index(n)
     start = _closure(n.initial, eps)
     if start & n.accepting:
         return ""
@@ -562,13 +562,8 @@ def shortest_word(n: Nfa) -> str | None:
     while queue:
         subset, word = queue.popleft()
         for sym in n.alphabet:
-            nxt = set()
-            for q in subset:
-                nxt.update(moves.get((q, sym), ()))
-            if not nxt:
-                continue
-            target = _closure(nxt, eps)
-            if target in seen:
+            target = _subset_step(subset, sym, eps, moves)
+            if not target or target in seen:
                 continue
             if target & n.accepting:
                 return word + sym
@@ -589,12 +584,97 @@ def complement(d: Dfa) -> Dfa:
                              frozenset(states) - d.accepting, transitions))
 
 
+# ---------------------------------------------------------------------------
+# on-the-fly language comparison
+
+
+# A search mode maps the acceptance of a pair, (left accepts, right
+# accepts), to the result slot it fills; pairs of other kinds are passed over.
+_MEET = {(True, True): 0}
+_LEFT = {(True, False): 0}
+_DIFF = {(True, False): 0, (False, True): 1}
+
+
+def _side(m: Dfa | Nfa):
+    """(start, step, accepts) for one side of a pair search. A Dfa side is
+    a state; an Nfa side is an epsilon-closed subset whose successors are
+    memoised per (subset, symbol). None marks a dead side."""
+    if isinstance(m, Dfa):
+        trans = m.transitions
+        return m.initial, lambda q, sym: trans.get((q, sym)), m.accepting.__contains__
+    eps, moves = _index(m)
+    memo: dict[tuple[frozenset[int], str], frozenset[int] | None] = {}
+
+    def step(subset, sym):
+        key = (subset, sym)
+        try:
+            return memo[key]
+        except KeyError:
+            target = memo[key] = _subset_step(subset, sym, eps, moves) or None
+            return target
+
+    accepting = m.accepting
+    return (_closure(m.initial, eps) or None, step,
+            lambda subset: not accepting.isdisjoint(subset))
+
+
+def _pair_search(a: Dfa | Nfa, b: Dfa | Nfa, alphabet, mode) -> tuple[str | None, ...]:
+    """Breadth-first search over pairs (side of a, side of b), reading
+    symbols in `alphabet` order, so each pair is first reached by its
+    shortest, alphabet-order-smallest word. Symbols outside a machine's
+    own alphabet kill its side, as widening would.
+
+    Returns one word per slot of `mode`: the first word reaching a pair of
+    that slot's kind, among the words of the first length at which any
+    slot fills (None for a slot with no such word). Pairs from which no
+    wanted kind is reachable, because the side it needs accepting is dead,
+    are not explored.
+    """
+    a_start, a_step, a_accepts = _side(a)
+    b_start, b_step, b_accepts = _side(b)
+    need_a = all(x for x, _ in mode)
+    need_b = all(y for _, y in mode)
+    found: list[str | None] = [None] * len(mode)
+    hit = False
+
+    def visit(p, q, word: str) -> None:
+        nonlocal hit
+        slot = mode.get((p is not None and a_accepts(p), q is not None and b_accepts(q)))
+        if slot is not None:
+            hit = True
+            if found[slot] is None:
+                found[slot] = word
+
+    visit(a_start, b_start, "")
+    seen = {(a_start, b_start)}
+    level = [(a_start, b_start, "")]
+    while level and not hit:
+        nxt = []
+        for p, q, word in level:
+            for sym in alphabet:
+                tp = None if p is None else a_step(p, sym)
+                tq = None if q is None else b_step(q, sym)
+                if (tp is None and (need_a or tq is None)) or (tq is None and need_b):
+                    continue
+                pair = (tp, tq)
+                if pair in seen:
+                    continue
+                seen.add(pair)
+                grown = word + sym
+                visit(tp, tq, grown)
+                if None not in found:
+                    return tuple(found)
+                nxt.append((tp, tq, grown))
+        level = nxt
+    return tuple(found)
+
+
 def inclusion_counterexample(sup: Dfa, sub: Nfa) -> str | None:
-    """Shortest word of L(sub) outside L(sup), or None when L(sub) ⊆ L(sup).
-    Both machines are widened to the merged alphabet first."""
+    """Shortest word of L(sub) outside L(sup), or None when L(sub) ⊆ L(sup);
+    ties go to the smallest in the merged alphabet's order. Decided by one
+    pair search, with no complement or product built."""
     alpha = merge_alphabets(sup.alphabet, sub.alphabet)
-    bad = product_intersect(widen_nfa(sub, alpha), complement(widen_dfa(sup, alpha)).to_nfa())
-    return shortest_word(bad)
+    return _pair_search(sub, sup, alpha, _LEFT)[0]
 
 
 def includes(sup: Dfa, sub: Nfa) -> bool:
@@ -602,12 +682,15 @@ def includes(sup: Dfa, sub: Nfa) -> bool:
 
 
 def separating_word(a: Nfa, b: Nfa) -> str | None:
-    """Shortest word accepted by exactly one machine (None if equivalent)."""
+    """Shortest word accepted by exactly one machine (None if equivalent).
+
+    One pair search finds, at the first length where the languages differ,
+    the first word only a accepts and the first only b accepts (in the
+    merged alphabet's order); when both exist the smaller by (length, word),
+    in code-point order, wins.
+    """
     alpha = merge_alphabets(a.alphabet, b.alphabet)
-    da = determinize(widen_nfa(a, alpha))
-    db = determinize(widen_nfa(b, alpha))
-    in_a = inclusion_counterexample(db, da.to_nfa())
-    in_b = inclusion_counterexample(da, db.to_nfa())
+    in_a, in_b = _pair_search(a, b, alpha, _DIFF)
     if in_a is None:
         return in_b
     if in_b is None:

@@ -294,28 +294,36 @@ def _easy_exprs(ft: Dfa) -> tuple[BoundedExpr, ...]:
         return ()
     cond = condense(ft)
     out: list[BoundedExpr] = []
-
-    def explore(q: int, segments) -> None:
+    # a stack of pending steps, each ("emit", segments) or ("explore", state,
+    # segments); a state's steps are pushed in reverse so that they run in
+    # depth-first preorder, however long the walk
+    stack: list[tuple] = [("explore", ft.initial, [])]
+    while stack:
+        step = stack.pop()
+        if step[0] == "emit":
+            out.append(_segments_to_expr(step[1]))
+            continue
+        _, q, segments = step
+        steps: list[tuple] = []
         comp_idx = cond.scc_of[q]
         if not cond.nontrivial[comp_idx]:
             if q in ft.accepting:
-                out.append(_segments_to_expr(segments))
+                steps.append(("emit", segments))
             for sym in ft.alphabet:
                 t = ft.transitions.get((q, sym))
                 if t is not None:
-                    explore(t, segments + [("lit", sym)])
-            return
-        ring_word, ring = _forced_ring(ft, q, cond.components[comp_idx], cond.scc_of)
-        looped = segments + [("star", ring_word)]
-        for i, d in enumerate(ring):
-            if d in ft.accepting:
-                out.append(_segments_to_expr(looped + [("lit", ring_word[:i])]))
-            for sym in ft.alphabet:
-                t = ft.transitions.get((d, sym))
-                if t is not None and cond.scc_of[t] != comp_idx:
-                    explore(t, looped + [("lit", ring_word[:i] + sym)])
-
-    explore(ft.initial, [])
+                    steps.append(("explore", t, segments + [("lit", sym)]))
+        else:
+            ring_word, ring = _forced_ring(ft, q, cond.components[comp_idx], cond.scc_of)
+            looped = segments + [("star", ring_word)]
+            for i, d in enumerate(ring):
+                if d in ft.accepting:
+                    steps.append(("emit", looped + [("lit", ring_word[:i])]))
+                for sym in ft.alphabet:
+                    t = ft.transitions.get((d, sym))
+                    if t is not None and cond.scc_of[t] != comp_idx:
+                        steps.append(("explore", t, looped + [("lit", ring_word[:i] + sym)]))
+        stack.extend(reversed(steps))
     return tuple(dict.fromkeys(out))
 
 
@@ -416,6 +424,7 @@ def _star_product_nfa(words, alphabet) -> Nfa:
 def verify_easy(f: Dfa, decomposition, envelope) -> None:
     """Check an easy certificate: the decomposition's union must equal the
     filter's language and the envelope's star product must include it.
+    A decomposition with an empty loop word is rejected first.
 
     Equality is decided by `separating_word`. Given it, the inclusion
     L(f) ⊆ w1* ... wn* follows when each expression's factors (prefix
@@ -427,6 +436,10 @@ def verify_easy(f: Dfa, decomposition, envelope) -> None:
     decided exactly, by determinizing the star product; the shortest filter
     word it misses is then reported.
     """
+    for e in decomposition:
+        for loop, _ in e.blocks:
+            if not loop:
+                raise CertificateError("decomposition contains an empty loop word")
     alphabet = f.alphabet
     union = nfa_union([expr_to_nfa(e, alphabet) for e in decomposition], alphabet)
     gap = separating_word(union, f.to_nfa())
@@ -447,10 +460,6 @@ def verify_easy(f: Dfa, decomposition, envelope) -> None:
         if leak is not None:
             raise CertificateError(
                 f"envelope star product misses the filter word {word_to_text(leak)!r}")
-    for e in decomposition:
-        for loop, _ in e.blocks:
-            if not loop:
-                raise CertificateError("decomposition contains an empty loop word")
 
 
 # ---------------------------------------------------------------------------

@@ -22,14 +22,13 @@ from dataclasses import dataclass
 
 from .automata import (
     Dfa,
-    determinize,
-    inclusion_counterexample,
+    _DIFF,
+    _pair_search,
     merge_alphabets,
     separating_word,
     trim,
     universal_dfa,
     widen_dfa,
-    widen_nfa,
 )
 from .classify import (
     CertificateError,
@@ -182,13 +181,15 @@ def cover(f: Dfa, r: Dfa) -> Dfst:
 
 def cover_gap(t: Dfst, f: Dfa, r: Dfa) -> tuple[str, str] | None:
     """None when image(t over f) equals L(r); otherwise a separating word
-    tagged with the side it belongs to ("image" or "target")."""
+    tagged with the side it belongs to ("image" or "target").
+
+    One pair search over the image and r yields, at the first length where
+    they differ, the first image-only word (`extra`) and the first
+    target-only word (`missing`); the smaller by (length, word) is
+    reported, and `extra` wins a tie."""
     image = image_nfa(t, f)
     alpha = merge_alphabets(image.alphabet, r.alphabet)
-    image_dfa = determinize(widen_nfa(image, alpha))
-    target_dfa = widen_dfa(r, alpha)
-    extra = inclusion_counterexample(target_dfa, image_dfa.to_nfa())
-    missing = inclusion_counterexample(image_dfa, target_dfa.to_nfa())
+    extra, missing = _pair_search(image, r, alpha, _DIFF)
     if extra is None and missing is None:
         return None
     if missing is None or (extra is not None and (len(extra), extra) <= (len(missing), missing)):

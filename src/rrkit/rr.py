@@ -20,33 +20,31 @@ from .automata import (
     Dfa,
     FormatError,
     Nfa,
+    _MEET,
     _logical_lines,
+    _pair_search,
     determinize,
     merge_alphabets,
-    product_intersect,
     run,
     run_nfa,
-    shortest_word,
-    widen_dfa,
-    widen_nfa,
 )
 from .classify import expr_to_nfa
 from .transducer import Dfst, preimage_automaton
 
 
 def solve_rr(filter_dfa: Dfa, a: Dfa) -> str | None:
-    """Shortest word in L(a) ∩ L(filter), or None when the instance is a no."""
+    """Shortest word in L(a) ∩ L(filter), or None when the instance is a no.
+
+    The search walks (filter state, input state) pairs on the fly and stops
+    at the first accepting pair; no product machine is built."""
     alpha = merge_alphabets(filter_dfa.alphabet, a.alphabet)
-    meet = product_intersect(widen_dfa(filter_dfa, alpha).to_nfa(),
-                             widen_dfa(a, alpha).to_nfa())
-    return shortest_word(meet)
+    return _pair_search(filter_dfa, a, alpha, _MEET)[0]
 
 
 def solve_rr_nfa(filter_nfa: Nfa, a: Nfa) -> str | None:
     """Same contract as solve_rr with both machines nondeterministic."""
     alpha = merge_alphabets(filter_nfa.alphabet, a.alphabet)
-    meet = product_intersect(widen_nfa(filter_nfa, alpha), widen_nfa(a, alpha))
-    return shortest_word(meet)
+    return _pair_search(filter_nfa, a, alpha, _MEET)[0]
 
 
 def solve_rr_bounded_detail(exprs, a: Dfa):

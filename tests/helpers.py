@@ -15,16 +15,21 @@ from rrkit import (
     Nfa,
     canonical_nfa,
     classification_to_text,
+    complement,
     condense,
     determinize,
     expr_to_nfa,
-    inclusion_counterexample,
+    image_nfa,
+    merge_alphabets,
     nfa_union,
     normalize_witness,
     primitive_root,
-    separating_word,
+    product_intersect,
+    shortest_word,
     trim,
     verify_witness,
+    widen_dfa,
+    widen_nfa,
 )
 from rrkit.automata import word_to_text
 from rrkit.classify import (
@@ -261,6 +266,64 @@ def random_dfst(rng: random.Random, n, in_alphabet=("a", "b"),
 
 
 # ---------------------------------------------------------------------------
+# reference language comparison: the full-product pipelines the library ran
+# before its on-the-fly pair search (determinize, complement, product, then
+# a subset BFS), kept as differential oracles for that search
+
+
+def oracle_inclusion_counterexample(sup: Dfa, sub: Nfa):
+    """Shortest word of L(sub) outside L(sup), or None."""
+    alpha = merge_alphabets(sup.alphabet, sub.alphabet)
+    bad = product_intersect(widen_nfa(sub, alpha),
+                            complement(widen_dfa(sup, alpha)).to_nfa())
+    return shortest_word(bad)
+
+
+def oracle_separating_word(a: Nfa, b: Nfa):
+    """Shortest word accepted by exactly one machine, or None."""
+    alpha = merge_alphabets(a.alphabet, b.alphabet)
+    da = determinize(widen_nfa(a, alpha))
+    db = determinize(widen_nfa(b, alpha))
+    in_a = oracle_inclusion_counterexample(db, da.to_nfa())
+    in_b = oracle_inclusion_counterexample(da, db.to_nfa())
+    if in_a is None:
+        return in_b
+    if in_b is None:
+        return in_a
+    return min((in_a, in_b), key=lambda w: (len(w), w))
+
+
+def oracle_solve_rr(filter_dfa: Dfa, a: Dfa):
+    """Shortest word in L(a) ∩ L(filter), or None."""
+    alpha = merge_alphabets(filter_dfa.alphabet, a.alphabet)
+    meet = product_intersect(widen_dfa(filter_dfa, alpha).to_nfa(),
+                             widen_dfa(a, alpha).to_nfa())
+    return shortest_word(meet)
+
+
+def oracle_solve_rr_nfa(filter_nfa: Nfa, a: Nfa):
+    alpha = merge_alphabets(filter_nfa.alphabet, a.alphabet)
+    meet = product_intersect(widen_nfa(filter_nfa, alpha), widen_nfa(a, alpha))
+    return shortest_word(meet)
+
+
+def oracle_cover_gap(t: Dfst, f: Dfa, r: Dfa):
+    """None when image(t over f) equals L(r), else a separating word
+    tagged "image" or "target"; the image side wins ties."""
+    image = image_nfa(t, f)
+    alpha = merge_alphabets(image.alphabet, r.alphabet)
+    image_dfa = determinize(widen_nfa(image, alpha))
+    target_dfa = widen_dfa(r, alpha)
+    extra = oracle_inclusion_counterexample(target_dfa, image_dfa.to_nfa())
+    missing = oracle_inclusion_counterexample(image_dfa, target_dfa.to_nfa())
+    if extra is None and missing is None:
+        return None
+    if missing is None or (extra is not None and (len(extra), extra) <= (len(missing), missing)):
+        return extra, "image"
+    return missing, "target"
+
+
+# ---------------------------------------------------------------------------
 # reference classifier: the per-state witness search and the star-product
 # envelope check as the library first ran them, kept as differential
 # oracles for the structural fast paths in rrkit.classify
@@ -295,8 +358,8 @@ def oracle_find_witness(ft: Dfa):
         component = cond.components[comp_idx]
         u0 = _shortest_cycle(ft, q, component)
         x = primitive_root(u0)
-        v0 = inclusion_counterexample(_oracle_power_dfa(x, ft.alphabet),
-                                      _oracle_cycle_nfa(ft, q, component))
+        v0 = oracle_inclusion_counterexample(_oracle_power_dfa(x, ft.alphabet),
+                                             _oracle_cycle_nfa(ft, q, component))
         if v0 is None:
             continue
         cycle_a, cycle_b = normalize_witness(u0, v0)
@@ -332,12 +395,12 @@ def oracle_verify_easy(f: Dfa, decomposition, envelope) -> None:
     determinizing the envelope's star product."""
     alphabet = f.alphabet
     union = nfa_union([expr_to_nfa(e, alphabet) for e in decomposition], alphabet)
-    gap = separating_word(union, f.to_nfa())
+    gap = oracle_separating_word(union, f.to_nfa())
     if gap is not None:
         raise CertificateError(
             f"decomposition differs from the filter on {word_to_text(gap)!r}")
     env_dfa = determinize(_oracle_star_product_nfa(envelope, alphabet))
-    leak = inclusion_counterexample(env_dfa, f.to_nfa())
+    leak = oracle_inclusion_counterexample(env_dfa, f.to_nfa())
     if leak is not None:
         raise CertificateError(
             f"envelope star product misses the filter word {word_to_text(leak)!r}")

@@ -13,6 +13,7 @@ from rrkit import (
     BoundedExpr,
     CertificateError,
     ClassificationMismatch,
+    Dfa,
     Easy,
     Hard,
     HardnessWitness,
@@ -216,6 +217,27 @@ class TestCertificateSoundness:
         verdict = classify(A_STAR_B_STAR)
         with pytest.raises(CertificateError):
             verify_easy(A_STAR_B_STAR, verdict.decomposition, ("a",))
+
+    def test_empty_loop_word_rejected_as_certificate_error(self):
+        a_star = parse_dfa(
+            "dfa\nalphabet a\nstates 0\ninitial 0\naccept 0\ntrans 0 a 0\n")
+        bad = (BoundedExpr("", (("", "a"),)),)
+        with pytest.raises(CertificateError, match="empty loop word"):
+            verify_easy(a_star, bad, ("a",))
+
+
+def chain_filter(n):
+    """Machine accepting only a^n: a chain of n + 1 states."""
+    return Dfa(("a",), frozenset(range(n + 1)), 0, frozenset({n}),
+               {(q, "a"): q + 1 for q in range(n)})
+
+
+class TestLongWalks:
+    def test_chain_1200_decomposes_without_recursion(self):
+        verdict = classify(chain_filter(1200))
+        assert isinstance(verdict, Easy)
+        assert verdict.decomposition == (BoundedExpr("a" * 1200, ()),)
+        assert classification_to_text(verdict).splitlines()[1] == f"expr p={'a' * 1200} blocks="
 
 
 class TestDecomposeEnvelope:

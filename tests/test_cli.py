@@ -102,6 +102,18 @@ class TestClassifyCommand:
         assert code == 0
         assert out == "HARD q=0 p=- u=ab v=ba s=-\n"
 
+    def test_long_chain_exits_0(self, files, capsys):
+        n = 1200
+        text = "".join([
+            "dfa\nalphabet a\n",
+            "states " + " ".join(map(str, range(n + 1))) + "\n",
+            f"initial 0\naccept {n}\n",
+            *(f"trans {q} a {q + 1}\n" for q in range(n)),
+        ])
+        code, out, _ = run_main(capsys, "classify", files("chain.txt", text))
+        assert code == 0
+        assert out.splitlines()[:2] == ["EASY", f"expr p={'a' * n} blocks="]
+
     def test_parse_error_exit_2(self, files, capsys):
         path = files("f.txt", "dfa\nalphabet a\nstatez\n")
         code, _, err = run_main(capsys, "classify", path)
