@@ -669,10 +669,11 @@ def _pair_search(a: Dfa | Nfa, b: Dfa | Nfa, alphabet, mode) -> tuple[str | None
     return tuple(found)
 
 
-def inclusion_counterexample(sup: Dfa, sub: Nfa) -> str | None:
+def inclusion_counterexample(sup: Dfa | Nfa, sub: Nfa) -> str | None:
     """Shortest word of L(sub) outside L(sup), or None when L(sub) ⊆ L(sup);
     ties go to the smallest in the merged alphabet's order. Decided by one
-    pair search, with no complement or product built."""
+    pair search, with no complement or product built; an Nfa `sup` is
+    determinized lazily, one reached subset at a time."""
     alpha = merge_alphabets(sup.alphabet, sub.alphabet)
     return _pair_search(sub, sup, alpha, _LEFT)[0]
 

@@ -42,7 +42,6 @@ from .automata import (
     Nfa,
     canonical_nfa,
     condense,
-    determinize,
     inclusion_counterexample,
     nfa_union,
     separating_word,
@@ -145,17 +144,8 @@ def _shortest_path_word(d: Dfa, starts, goals, within=None) -> str | None:
 
 def _shortest_cycle(d: Dfa, q: int, component) -> str:
     """Shortest nonempty word looping at q without leaving its component."""
-    queue = deque()
+    queue = deque([(q, "")])
     seen = set()
-    for sym in d.alphabet:
-        t = d.transitions.get((q, sym))
-        if t is None or t not in component:
-            continue
-        if t == q:
-            return sym
-        if t not in seen:
-            seen.add(t)
-            queue.append((t, sym))
     while queue:
         cur, word = queue.popleft()
         for sym in d.alphabet:
@@ -433,8 +423,8 @@ def verify_easy(f: Dfa, decomposition, envelope) -> None:
     power of, since w* then holds every power of the factor, and the
     envelope index never moves backwards. Envelopes built by `classify`
     always embed. Only when some expression does not is the inclusion
-    decided exactly, by determinizing the star product; the shortest filter
-    word it misses is then reported.
+    decided exactly, by a pair search over the filter and the star product's
+    recognizer; the shortest filter word it misses is then reported.
     """
     for e in decomposition:
         for loop, _ in e.blocks:
@@ -455,8 +445,7 @@ def verify_easy(f: Dfa, decomposition, envelope) -> None:
                 # the error the star-product construction gives for it
                 raise ValueError(f"transition symbol {c!r} not in alphabet")
     if not all(_embeds(_factors(e), envelope) for e in decomposition):
-        env_dfa = determinize(_star_product_nfa(envelope, alphabet))
-        leak = inclusion_counterexample(env_dfa, f.to_nfa())
+        leak = inclusion_counterexample(_star_product_nfa(envelope, alphabet), f.to_nfa())
         if leak is not None:
             raise CertificateError(
                 f"envelope star product misses the filter word {word_to_text(leak)!r}")

@@ -12,8 +12,8 @@ prefix-incomparable cycles u and v the three codes are
 
 which are pairwise prefix-incomparable, so the dispatch trie is
 deterministic. Composing the surjection with the copy machine of the
-target language restricts the image to exactly that language. Every
-returned transducer has its image equivalence re-verified.
+target language restricts the image to exactly that language. `cover`
+checks that composed image once, against the target, before returning.
 """
 
 from __future__ import annotations
@@ -164,18 +164,19 @@ def surjection_to_star(f: Dfa, witness: HardnessWitness, letters) -> Dfst:
 
 
 def cover(f: Dfa, r: Dfa) -> Dfst:
-    """Transducer mapping the hard filter f onto L(r): the surjection onto
-    the target alphabet's words composed with the copy machine of r."""
+    """Transducer mapping the hard filter f onto L(r): the dispatch trie of
+    f's witness composed with the copy machine of r. Its image over L(f) is
+    checked once, against L(r), before it is returned."""
     verdict = classify(f)
     if not isinstance(verdict, Hard):
         raise ClassificationMismatch("filter is easy; it does not cover arbitrary languages")
     letters = r.alphabet if r.alphabet else f.alphabet
-    surjection = surjection_to_star(f, verdict.witness, letters)
-    copier = identity_transducer(widen_dfa(r, letters))
-    combined = compose_dfst(surjection, copier)
-    gap = separating_word(image_nfa(combined, f), r.to_nfa())
+    plan = plan_cover(verdict.witness, letters)
+    surjection = _build_dispatch(plan, verdict.witness.access, f.alphabet)
+    combined = compose_dfst(surjection, identity_transducer(widen_dfa(r, letters)))
+    gap = cover_gap(combined, f, r)
     if gap is not None:
-        raise CertificateError(f"cover image differs from the target on {gap!r}")
+        raise CertificateError(f"cover image differs from the target on {gap[0]!r}")
     return combined
 
 

@@ -70,34 +70,43 @@ def solve_rr_bounded_detail(exprs, a: Dfa):
             q = a.transitions.get((q, c))
         return q
 
-    for index, e in enumerate(exprs):
+    def powers(block, q: int):
+        """(exponent, state after the bridge) for each loop power read from
+        q, smallest first, until the powers revisit a state."""
+        loop, bridge = block
+        seen = set()
+        exponent = 0
+        while q is not None and q not in seen:
+            seen.add(q)
+            after = advance(q, bridge)
+            if after is not None:
+                yield exponent, after
+            q = advance(q, loop)
+            exponent += 1
+
+    def search(blocks, q: int) -> list[int] | None:
+        """Depth-first over the exponents with a stack of [entry state, its
+        powers, exponent taken] per open block; exhausted pairs are dead."""
         dead: set[tuple[int, int]] = set()
-
-        def search(i: int, q: int) -> list[int] | None:
-            if i == len(e.blocks):
-                return [] if q in a.accepting else None
-            if (i, q) in dead:
+        stack: list[list] = []
+        while True:
+            if len(stack) == len(blocks):
+                if q in a.accepting:
+                    return [frame[2] for frame in stack]
+            elif (len(stack), q) not in dead:
+                stack.append([q, powers(blocks[len(stack)], q), 0])
+            while stack and (step := next(stack[-1][1], None)) is None:
+                entry = stack.pop()[0]
+                dead.add((len(stack), entry))
+            if not stack:
                 return None
-            loop, bridge = e.blocks[i]
-            cur = q
-            seen = set()
-            exponent = 0
-            while cur is not None and cur not in seen:
-                seen.add(cur)
-                after = advance(cur, bridge)
-                if after is not None:
-                    rest = search(i + 1, after)
-                    if rest is not None:
-                        return [exponent, *rest]
-                cur = advance(cur, loop)
-                exponent += 1
-            dead.add((i, q))
-            return None
+            stack[-1][2], q = step
 
+    for index, e in enumerate(exprs):
         start = advance(a.initial, e.prefix)
         if start is None:
             continue
-        exponents = search(0, start)
+        exponents = search(e.blocks, start)
         if exponents is None:
             continue
         word = e.prefix + "".join(

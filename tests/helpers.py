@@ -7,6 +7,7 @@ import random
 
 from rrkit import (
     CertificateError,
+    ClassificationMismatch,
     Dfa,
     Dfst,
     Easy,
@@ -15,17 +16,24 @@ from rrkit import (
     Nfa,
     canonical_nfa,
     classification_to_text,
+    classify,
     complement,
+    compose_dfst,
     condense,
     determinize,
     expr_to_nfa,
+    identity_transducer,
     image_nfa,
     merge_alphabets,
     nfa_union,
     normalize_witness,
     primitive_root,
     product_intersect,
+    run,
+    run_nfa,
+    separating_word,
     shortest_word,
+    surjection_to_star,
     trim,
     verify_witness,
     widen_dfa,
@@ -476,3 +484,91 @@ def planted_hard_filter(rng: random.Random, n) -> Dfa:
         trans[(0, "a")] = x
     accepting = frozenset({x} | {q for q in range(n) if rng.random() < 0.3})
     return Dfa(("a", "b"), frozenset(range(n)), 0, accepting, trans)
+
+
+# ---------------------------------------------------------------------------
+# reference cover and counter solver: the library's first versions, kept as
+# differential oracles
+
+
+def oracle_cover(f: Dfa, r: Dfa) -> Dfst:
+    """Cover checked three times: classify, the surjection's own image check
+    against Γ*, then the composed image against the target."""
+    verdict = classify(f)
+    if not isinstance(verdict, Hard):
+        raise ClassificationMismatch("filter is easy; it does not cover arbitrary languages")
+    letters = r.alphabet if r.alphabet else f.alphabet
+    surjection = surjection_to_star(f, verdict.witness, letters)
+    copier = identity_transducer(widen_dfa(r, letters))
+    combined = compose_dfst(surjection, copier)
+    gap = separating_word(image_nfa(combined, f), r.to_nfa())
+    if gap is not None:
+        raise CertificateError(f"cover image differs from the target on {gap!r}")
+    return combined
+
+
+def oracle_solve_rr_bounded_detail(exprs, a: Dfa):
+    """Counter search recursing once per block: (word, expression index,
+    exponent vector) or None."""
+    exprs = list(exprs)
+    for e in exprs:
+        for loop, _ in e.blocks:
+            if not loop:
+                raise ValueError("bounded expression has an empty loop word")
+
+    def advance(q, word):
+        for c in word:
+            if q is None:
+                return None
+            q = a.transitions.get((q, c))
+        return q
+
+    for index, e in enumerate(exprs):
+        dead = set()
+
+        def search(i, q):
+            if i == len(e.blocks):
+                return [] if q in a.accepting else None
+            if (i, q) in dead:
+                return None
+            loop, bridge = e.blocks[i]
+            cur = q
+            seen = set()
+            exponent = 0
+            while cur is not None and cur not in seen:
+                seen.add(cur)
+                after = advance(cur, bridge)
+                if after is not None:
+                    rest = search(i + 1, after)
+                    if rest is not None:
+                        return [exponent, *rest]
+                cur = advance(cur, loop)
+                exponent += 1
+            dead.add((i, q))
+            return None
+
+        start = advance(a.initial, e.prefix)
+        if start is None:
+            continue
+        exponents = search(0, start)
+        if exponents is None:
+            continue
+        word = e.prefix + "".join(
+            loop * k + bridge for (loop, bridge), k in zip(e.blocks, exponents)
+        )
+        if not run(a, word):
+            raise AssertionError("bounded solver produced a word the machine rejects")
+        expr_symbols = sorted(set(e.prefix) | {c for x, y in e.blocks for c in x + y})
+        alpha = merge_alphabets(a.alphabet, expr_symbols)
+        if not run_nfa(expr_to_nfa(e, alpha), word):
+            raise AssertionError("bounded solver produced a word outside its expression")
+        return word, index, exponents
+    return None
+
+
+def looped_chain(n) -> Dfa:
+    """n states in a row, each with an `a`-loop, joined by `b` edges; only
+    the last accepts. Its one expression has n blocks."""
+    trans = {(q, "a"): q for q in range(n)}
+    trans.update({(q, "b"): q + 1 for q in range(n - 1)})
+    return Dfa(("a", "b"), frozenset(range(n)), 0, frozenset({n - 1}), trans)

@@ -36,6 +36,7 @@ from rrkit.classify import _forced_ring
 
 # the package re-exports the function `classify` under the module's name
 classify_module = importlib.import_module("rrkit.classify")
+automata_module = importlib.import_module("rrkit.automata")
 
 SIGMA_STAR = universal_dfa(("a", "b"))
 
@@ -170,10 +171,12 @@ class TestEasyPathCallCounts:
                 return fn(*args, **kwargs)
             return wrapper
 
+        # under every module binding that holds the function
         for attr, name in (("inclusion_counterexample", "inclusion"),
                            ("determinize", "determinize")):
-            monkeypatch.setattr(classify_module, attr,
-                                counting(name, getattr(classify_module, attr)))
+            for module in (classify_module, automata_module):
+                if hasattr(module, attr):
+                    monkeypatch.setattr(module, attr, counting(name, getattr(module, attr)))
         return counts
 
     def test_ring_400_makes_no_inclusion_check(self, calls):
@@ -193,6 +196,24 @@ class TestEasyPathCallCounts:
     def test_planted_hard_makes_one_check(self, calls):
         assert isinstance(classify(planted_hard_filter(random.Random(113), 200)), Hard)
         assert calls["inclusion"] == 1
+
+    # a(ba)*: its expression's factors `a`, `ba` do not embed into these
+    # envelopes, so the inclusion is decided exactly
+    A_BA_STAR = parse_dfa("dfa\nalphabet a b\nstates 0 1 2\ninitial 0\naccept 1\n"
+                          "trans 0 a 1\ntrans 1 b 2\ntrans 2 a 1\n")
+
+    @pytest.mark.parametrize("words, message", [
+        (("ab", "a"), None),
+        (("ab", "b"), ("CertificateError",
+                       "envelope star product misses the filter word 'a'")),
+    ])
+    def test_exact_envelope_check_builds_no_determinization(self, calls, words, message):
+        f = self.A_BA_STAR
+        verdict = classify(f)
+        assert isinstance(verdict, Easy)
+        got = outcome(verify_easy, f, verdict.decomposition, words)
+        assert calls["determinize"] == 0
+        assert got == message == outcome(oracle_verify_easy, f, verdict.decomposition, words)
 
 
 class TestNoLibraryAsserts:

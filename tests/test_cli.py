@@ -5,7 +5,9 @@ from pathlib import Path
 
 import pytest
 
+from helpers import looped_chain
 from rrkit import (
+    dfa_to_text,
     equivalent,
     parse_dfa,
     parse_dfst,
@@ -142,6 +144,8 @@ class TestCoverCommand:
         code, out, err = run_main(capsys, "cover", filt, target)
         assert code == 3
         assert out.splitlines()[0] == "EASY"
+        assert err == "easy filter: it does not cover arbitrary languages\n"
+        assert run_main(capsys, "classify", filt) == (0, out, "")
 
     def test_empty_target(self, files, capsys):
         filt = files("f.txt", SIGMA_STAR_TEXT)
@@ -181,6 +185,14 @@ class TestSolveCommand:
         lines = out.splitlines()
         assert lines[0] == "YES aab"
         assert lines[1].startswith("exponents")
+
+    def test_counters_on_deep_decomposition(self, files, capsys):
+        n = 1101  # one expression of 1101 blocks
+        filt = files("chain.txt", dfa_to_text(looped_chain(n)))
+        inp = files("a.txt", SIGMA_STAR_TEXT)
+        code, out, _ = run_main(capsys, "solve", filt, inp, "--counters")
+        assert code == 0
+        assert out == f"YES {'b' * (n - 1)}\nexponents {' '.join(['0'] * n)}\n"
 
     def test_counters_on_hard_filter_exit_3(self, files, capsys):
         filt = files("f.txt", SIGMA_STAR_TEXT)

@@ -1,11 +1,20 @@
+import importlib
 import random
 
 import pytest
 
-from helpers import random_dfa, words_upto
+from helpers import (
+    oracle_cover,
+    outcome,
+    planted_hard_filter,
+    random_dfa,
+    words_upto,
+)
 from rrkit import (
     CertificateError,
     ClassificationMismatch,
+    Dfa,
+    Dfst,
     Hard,
     HardnessWitness,
     apply,
@@ -13,6 +22,7 @@ from rrkit import (
     cover,
     cover_gap,
     determinize,
+    dfa_to_text,
     dfst_to_text,
     empty_dfa,
     equivalent,
@@ -27,6 +37,12 @@ from rrkit import (
     universal_dfa,
     verify_cover,
 )
+from rrkit.cli import main
+
+# the package re-exports functions under their modules' names
+cover_module = importlib.import_module("rrkit.cover")
+cli_module = importlib.import_module("rrkit.cli")
+classify_module = importlib.import_module("rrkit.classify")
 
 SIGMA_STAR = universal_dfa(("a", "b"))
 LETTER_WITNESS = HardnessWitness(state=0, access="", cycle_a="a", cycle_b="b",
@@ -198,3 +214,86 @@ class TestVerifyCover:
         assert verify_cover(again, SIGMA_STAR, target)
         for w in words_upto(("a", "b"), 5):
             assert apply(t, w) == apply(again, w)
+
+
+# ---------------------------------------------------------------------------
+# one classify and one image check per cover
+
+
+def _hard_filters(rng):
+    found = [SIGMA_STAR]
+    while len(found) < 12:
+        d = random_dfa(rng, rng.randint(2, 6))
+        if isinstance(classify(d), Hard):
+            found.append(d)
+    found += [planted_hard_filter(rng, n) for n in (3, 8, 20)]
+    return found
+
+
+def _targets(rng):
+    targets = [random_dfa(rng, rng.randint(1, 4), alphabet)
+               for alphabet in (("a", "b"), ("a", "b", "c"), ("b", "a"), ("c",))
+               for _ in range(3)]
+    # an empty target alphabet: the cover writes the filter's letters
+    epsilon_only = Dfa((), frozenset({0}), 0, frozenset({0}), {})
+    return targets + [empty_dfa(("a", "b")), epsilon_only]
+
+
+class TestCoverMatchesOracle:
+    def test_random_hard_filters_and_targets(self):
+        rng = random.Random(149)
+        targets = _targets(rng)
+        for f in _hard_filters(rng):
+            for r in rng.sample(targets, 5):
+                assert dfst_to_text(cover(f, r)) == dfst_to_text(oracle_cover(f, r))
+
+    def test_easy_filter_same_error(self):
+        a_star = determinize(regex_to_nfa("a*"))
+        assert outcome(cover, a_star, SIGMA_STAR) == outcome(oracle_cover, a_star, SIGMA_STAR)
+
+
+class TestCoverChecksOnce:
+    GUARDED = ("classify", "image_nfa", "surjection_to_star", "verify_cover")
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = dict.fromkeys(self.GUARDED, 0)
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for module in (cover_module, cli_module, classify_module):
+            for name in self.GUARDED:
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+        return counts
+
+    WANT = {"classify": 1, "image_nfa": 1, "surjection_to_star": 0, "verify_cover": 0}
+
+    def test_library_cover(self, calls):
+        f = planted_hard_filter(random.Random(151), 40)
+        t = cover(f, determinize(regex_to_nfa("c(a|b|c)*")))
+        assert calls == self.WANT
+        assert isinstance(t, Dfst)
+
+    def test_cli_cover(self, calls, tmp_path, capsys):
+        f = tmp_path / "f.txt"
+        f.write_text(dfa_to_text(planted_hard_filter(random.Random(157), 40)))
+        r = tmp_path / "r.txt"
+        r.write_text(dfa_to_text(determinize(regex_to_nfa("(ab)*"))))
+        assert main(["cover", str(f), str(r)]) == 0
+        assert capsys.readouterr().out.endswith("VERIFIED image == target\n")
+        assert calls == self.WANT
+
+    def test_wrong_composition_is_caught(self, monkeypatch):
+        # a composition that copies the filter instead of mapping it onto
+        # (ab)*: its image is Σ*, and `a` is the first word outside (ab)*
+        monkeypatch.setattr(cover_module, "compose_dfst",
+                            lambda first, second: identity_transducer(SIGMA_STAR))
+        target = determinize(regex_to_nfa("(ab)*"))
+        with pytest.raises(CertificateError) as err:
+            cover(SIGMA_STAR, target)
+        assert str(err.value) == "cover image differs from the target on 'a'"

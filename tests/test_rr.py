@@ -4,9 +4,12 @@ import pytest
 
 from helpers import (
     bfs_reachable_oracle,
+    diamond_filter,
     enumerate_dfas,
     lang_upto,
+    looped_chain,
     naive_nfa_accepts,
+    oracle_solve_rr_bounded_detail,
     random_dfa,
     random_dfst,
     random_nfa,
@@ -15,7 +18,9 @@ from rrkit import (
     AlphabetError,
     BoundedExpr,
     Digraph,
+    Easy,
     FormatError,
+    classify,
     decompose,
     determinize,
     equivalent,
@@ -31,6 +36,7 @@ from rrkit import (
     solve_rr_bounded,
     solve_rr_bounded_detail,
     solve_rr_nfa,
+    universal_dfa,
     Dfst,
 )
 
@@ -116,6 +122,56 @@ class TestSolveRrBounded:
     def test_expression_symbols_outside_machine(self):
         exprs = (BoundedExpr("", (("c", ""),)),)  # loops on a foreign symbol
         assert solve_rr_bounded(exprs, AB_STAR) == ""
+
+
+def _easy_decompositions(rng):
+    """Decompositions of seeded random easy filters, diamonds with a loop,
+    and looped chains."""
+    found = []
+    while len(found) < 40:
+        verdict = classify(random_dfa(rng, rng.randint(2, 7), density=0.5))
+        if isinstance(verdict, Easy) and verdict.decomposition:
+            found.append(verdict.decomposition)
+    found += [decompose(diamond_filter(3, loop_at=(i, i % 2))) for i in range(3)]
+    found += [decompose(looped_chain(n)) for n in (1, 2, 5, 9)]
+    return found
+
+
+class TestBoundedSolverStack:
+    """The explicit-stack counter search against the recursive one it
+    replaced: the same witness, expression and exponents, or both None."""
+
+    def test_agrees_with_recursive_oracle(self):
+        rng = random.Random(139)
+        yes = 0
+        for exprs in _easy_decompositions(rng):
+            for _ in range(6):
+                a = random_dfa(rng, rng.randint(1, 6))
+                want = oracle_solve_rr_bounded_detail(exprs, a)
+                assert solve_rr_bounded_detail(exprs, a) == want
+                yes += want is not None
+        assert yes > 50
+
+    def test_dead_pairs_are_per_block(self):
+        # state 1 is exhausted at block 1 (no `a` there) but, entered at
+        # block 2 after `abb`, it accepts
+        a = parse_dfa("dfa\nalphabet a b\nstates 0 1 2\ninitial 0\naccept 1\n"
+                      "trans 0 a 1\ntrans 0 b 1\ntrans 1 b 2\ntrans 2 b 1\n")
+        exprs = decompose(looped_chain(3))
+        assert solve_rr_bounded_detail(exprs, a) == ("abb", 0, [1, 0, 0])
+        assert oracle_solve_rr_bounded_detail(exprs, a) == ("abb", 0, [1, 0, 0])
+
+    def test_deep_decomposition(self):
+        exprs = decompose(looped_chain(1101))
+        assert len(exprs) == 1 and len(exprs[0].blocks) == 1101
+        hit = solve_rr_bounded_detail(exprs, universal_dfa(("a", "b")))
+        assert hit == ("b" * 1100, 0, [0] * 1101)
+
+    def test_deep_decomposition_no_instance(self):
+        # an odd number of b's: the chain's words all have 1100
+        odd_b = parse_dfa("dfa\nalphabet a b\nstates 0 1\ninitial 0\naccept 1\n"
+                          "trans 0 a 0\ntrans 0 b 1\ntrans 1 a 1\ntrans 1 b 0\n")
+        assert solve_rr_bounded_detail(decompose(looped_chain(1101)), odd_b) is None
 
 
 class TestReduceRr:
