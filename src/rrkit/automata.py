@@ -669,7 +669,7 @@ def _pair_search(a: Dfa | Nfa, b: Dfa | Nfa, alphabet, mode) -> tuple[str | None
     return tuple(found)
 
 
-def inclusion_counterexample(sup: Dfa | Nfa, sub: Nfa) -> str | None:
+def inclusion_counterexample(sup: Dfa | Nfa, sub: Dfa | Nfa) -> str | None:
     """Shortest word of L(sub) outside L(sup), or None when L(sub) ⊆ L(sup);
     ties go to the smallest in the merged alphabet's order. Decided by one
     pair search, with no complement or product built; an Nfa `sup` is
@@ -682,7 +682,7 @@ def includes(sup: Dfa, sub: Nfa) -> bool:
     return inclusion_counterexample(sup, sub) is None
 
 
-def separating_word(a: Nfa, b: Nfa) -> str | None:
+def separating_word(a: Dfa | Nfa, b: Dfa | Nfa) -> str | None:
     """Shortest word accepted by exactly one machine (None if equivalent).
 
     One pair search finds, at the first length where the languages differ,

@@ -36,7 +36,9 @@ from collections import deque
 from dataclasses import dataclass
 
 from .automata import (
+    EPS,
     AlphabetError,
+    Condensation,
     Dfa,
     FormatError,
     Nfa,
@@ -52,7 +54,12 @@ from .automata import (
 
 
 class ClassificationMismatch(ValueError):
-    """An operation that needs one verdict was handed a filter of the other."""
+    """An operation that needs one verdict was handed a filter of the other;
+    `verdict` is the classification it computed."""
+
+    def __init__(self, message: str, verdict: Classification | None = None):
+        super().__init__(message)
+        self.verdict = verdict
 
 
 class CertificateError(ValueError):
@@ -187,10 +194,10 @@ def _inner_successors(d: Dfa, q: int, scc_of) -> list[tuple[str, int]]:
     ]
 
 
-def _find_witness(ft: Dfa) -> HardnessWitness | None:
+def _find_witness(ft: Dfa, cond: Condensation) -> HardnessWitness | None:
     """Witness at the smallest state of a branching component of the
-    trimmed machine, or None when every nontrivial component is a ring."""
-    cond = condense(ft)
+    trimmed machine `ft` (condensed as `cond`), or None when every
+    nontrivial component is a ring."""
     # components are numbered by their smallest state, so the first
     # branching one holds the smallest state of any branching component
     for comp_idx, component in enumerate(cond.components):
@@ -217,7 +224,11 @@ def _find_witness(ft: Dfa) -> HardnessWitness | None:
 def verify_witness(f: Dfa, w: HardnessWitness) -> None:
     """Replay a witness against trim(f); raises CertificateError if any
     invariant fails."""
-    ft = trim(f)
+    _replay_witness(trim(f), w)
+
+
+def _replay_witness(ft: Dfa, w: HardnessWitness) -> None:
+    """verify_witness on an already trimmed machine."""
     if w.state not in ft.states:
         raise CertificateError(f"witness state {w.state} is not a state of the trimmed filter")
     if ft.walk(ft.initial, w.access) != w.state:
@@ -270,8 +281,9 @@ def _segments_to_expr(segments) -> BoundedExpr:
     return BoundedExpr("".join(prefix), tuple((x, y) for x, y in blocks))
 
 
-def _easy_exprs(ft: Dfa) -> tuple[BoundedExpr, ...]:
-    """Enumerate accepting run shapes through the component DAG.
+def _easy_exprs(ft: Dfa, cond: Condensation) -> tuple[BoundedExpr, ...]:
+    """Enumerate accepting run shapes through the component DAG of the
+    trimmed machine `ft` (condensed as `cond`).
 
     Inside a cycle-bearing component the walk is forced, so a traversal
     entering at state e contributes one starred loop (the full ring word at
@@ -282,7 +294,6 @@ def _easy_exprs(ft: Dfa) -> tuple[BoundedExpr, ...]:
     """
     if not ft.accepting:
         return ()
-    cond = condense(ft)
     out: list[BoundedExpr] = []
     # a stack of pending steps, each ("emit", segments) or ("explore", state,
     # segments); a state's steps are pushed in reverse so that they run in
@@ -354,7 +365,11 @@ def _embeds(factors, words) -> bool:
 
 
 def expr_to_nfa(e: BoundedExpr, alphabet) -> Nfa:
-    """Recognizer of a bounded expression's language."""
+    """Recognizer of a bounded expression's language: a chain reading the
+    prefix, then per block a loop reading x hung on the chain's current
+    state and the chain reading y. A loop never shares its state with the
+    previous block's loop (that would read (x1|x2)* for x1* x2*): after an
+    empty bridge the chain first steps to a fresh state by an epsilon edge."""
     alphabet = tuple(alphabet)
     alpha = set(alphabet)
     for word in [e.prefix, *(w for block in e.blocks for w in block)]:
@@ -379,35 +394,20 @@ def expr_to_nfa(e: BoundedExpr, alphabet) -> Nfa:
     cur = fresh()
     start = cur
     cur = chain(cur, e.prefix)
+    looped = None  # the state carrying the last loop
     for loop, bridge in e.blocks:
         if not loop:
             raise ValueError("loop word of a bounded expression must be nonempty")
+        if cur == looped:
+            nxt = fresh()
+            triples.append((cur, EPS, nxt))
+            cur = nxt
         back = chain(cur, loop[:-1])
         triples.append((back, loop[-1], cur))
+        looped = cur
         cur = chain(cur, bridge)
     raw = Nfa(alphabet, frozenset(range(count)), frozenset({start}),
               frozenset({cur}), tuple(triples))
-    return canonical_nfa(raw)
-
-
-def _star_product_nfa(words, alphabet) -> Nfa:
-    """Recognizer of w1* w2* ... wn* (the empty product is {empty word})."""
-    alphabet = tuple(alphabet)
-    triples: list[tuple[int, str | None, int]] = []
-    count = 1  # state 0 opens the product
-    anchor = 0
-    for word in words:
-        back = anchor
-        for c in word[:-1]:
-            triples.append((back, c, count))
-            back = count
-            count += 1
-        triples.append((back, word[-1], anchor))
-        triples.append((anchor, None, count))
-        anchor = count
-        count += 1
-    raw = Nfa(alphabet, frozenset(range(count)), frozenset({0}),
-              frozenset({anchor}), tuple(triples))
     return canonical_nfa(raw)
 
 
@@ -424,7 +424,8 @@ def verify_easy(f: Dfa, decomposition, envelope) -> None:
     envelope index never moves backwards. Envelopes built by `classify`
     always embed. Only when some expression does not is the inclusion
     decided exactly, by a pair search over the filter and the star product's
-    recognizer; the shortest filter word it misses is then reported.
+    recognizer (`expr_to_nfa` of the envelope words as loops with empty
+    bridges); the shortest filter word it misses is then reported.
     """
     for e in decomposition:
         for loop, _ in e.blocks:
@@ -432,7 +433,7 @@ def verify_easy(f: Dfa, decomposition, envelope) -> None:
                 raise CertificateError("decomposition contains an empty loop word")
     alphabet = f.alphabet
     union = nfa_union([expr_to_nfa(e, alphabet) for e in decomposition], alphabet)
-    gap = separating_word(union, f.to_nfa())
+    gap = separating_word(union, f)
     if gap is not None:
         raise CertificateError(
             f"decomposition differs from the filter on {word_to_text(gap)!r}")
@@ -442,10 +443,11 @@ def verify_easy(f: Dfa, decomposition, envelope) -> None:
             raise CertificateError("envelope contains the empty word")
         for c in word:
             if c not in alpha:
-                # the error the star-product construction gives for it
+                # the Nfa constructor's error for a foreign transition symbol
                 raise ValueError(f"transition symbol {c!r} not in alphabet")
     if not all(_embeds(_factors(e), envelope) for e in decomposition):
-        leak = inclusion_counterexample(_star_product_nfa(envelope, alphabet), f.to_nfa())
+        star_product = BoundedExpr("", tuple((w, "") for w in envelope))
+        leak = inclusion_counterexample(expr_to_nfa(star_product, alphabet), f)
         if leak is not None:
             raise CertificateError(
                 f"envelope star product misses the filter word {word_to_text(leak)!r}")
@@ -459,11 +461,12 @@ def classify(f: Dfa) -> Classification:
     """Hard with a verified witness, or Easy with a verified decomposition
     and envelope. The empty language is easy with an empty certificate."""
     ft = trim(f)
-    witness = _find_witness(ft)
+    cond = condense(ft)
+    witness = _find_witness(ft, cond)
     if witness is not None:
-        verify_witness(ft, witness)
+        _replay_witness(ft, witness)
         return Hard(witness)
-    exprs = _easy_exprs(ft)
+    exprs = _easy_exprs(ft, cond)
     envelope_words = _envelope_of(exprs)
     verify_easy(ft, exprs, envelope_words)
     return Easy(exprs, envelope_words)
@@ -474,7 +477,8 @@ def decompose(f: Dfa) -> tuple[BoundedExpr, ...]:
     ClassificationMismatch if the filter is hard."""
     verdict = classify(f)
     if isinstance(verdict, Hard):
-        raise ClassificationMismatch("filter is hard; it has no bounded decomposition")
+        raise ClassificationMismatch("filter is hard; it has no bounded decomposition",
+                                     verdict)
     return verdict.decomposition
 
 
@@ -482,7 +486,7 @@ def envelope(f: Dfa) -> tuple[str, ...]:
     """Words w1..wn with L(f) ⊆ w1*...wn*, for an easy filter."""
     verdict = classify(f)
     if isinstance(verdict, Hard):
-        raise ClassificationMismatch("filter is hard; it is not a bounded language")
+        raise ClassificationMismatch("filter is hard; it is not a bounded language", verdict)
     return verdict.envelope
 
 

@@ -61,10 +61,6 @@ def _as_dfa(machine: Dfa | Nfa) -> Dfa:
     return machine if isinstance(machine, Dfa) else determinize(machine)
 
 
-def _as_nfa(machine: Dfa | Nfa) -> Nfa:
-    return machine.to_nfa() if isinstance(machine, Dfa) else machine
-
-
 def _emit(text: str, out_path: str | None) -> None:
     if out_path is None:
         sys.stdout.write(text)
@@ -92,8 +88,8 @@ def cmd_cover(args) -> int:
     target = _as_dfa(_load_machine(args.target, False))
     try:
         transducer = cover(filter_dfa, target)
-    except ClassificationMismatch:
-        sys.stdout.write(_certificate_lines(classify(filter_dfa)))
+    except ClassificationMismatch as exc:
+        sys.stdout.write(_certificate_lines(exc.verdict))
         print("easy filter: it does not cover arbitrary languages", file=sys.stderr)
         return EXIT_CLASS
     _emit(dfst_to_text(transducer), args.out)
@@ -116,9 +112,8 @@ def cmd_solve(args) -> int:
         witness = None if hit is None else hit[0]
         exponents = None if hit is None else hit[2]
     elif args.nfa:
-        filter_nfa = _as_nfa(_load_machine(args.filter, args.regex))
-        input_nfa = _as_nfa(_load_machine(args.input, False))
-        witness = solve_rr_nfa(filter_nfa, input_nfa)
+        witness = solve_rr_nfa(_load_machine(args.filter, args.regex),
+                               _load_machine(args.input, False))
     else:
         filter_dfa = _as_dfa(_load_machine(args.filter, args.regex))
         input_dfa = _as_dfa(_load_machine(args.input, False))
@@ -162,9 +157,8 @@ def cmd_image(args) -> int:
 
 
 def cmd_equiv(args) -> int:
-    left = _as_nfa(_load_machine(args.left, False))
-    right = _as_nfa(_load_machine(args.right, False))
-    gap = separating_word(left, right)
+    gap = separating_word(_load_machine(args.left, False),
+                          _load_machine(args.right, False))
     if gap is None:
         print("EQUIVALENT")
     else:

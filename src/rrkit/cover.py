@@ -20,16 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .automata import (
-    Dfa,
-    _DIFF,
-    _pair_search,
-    merge_alphabets,
-    separating_word,
-    trim,
-    universal_dfa,
-    widen_dfa,
-)
+from .automata import Dfa, separating_word, universal_dfa, widen_dfa
 from .classify import (
     CertificateError,
     ClassificationMismatch,
@@ -151,12 +142,10 @@ def surjection_to_star(f: Dfa, witness: HardnessWitness, letters) -> Dfst:
     The witness must be valid for trim(f); the image equivalence is checked
     before returning.
     """
-    ft = trim(f)
-    verify_witness(ft, witness)
+    verify_witness(f, witness)
     plan = plan_cover(witness, letters)
-    t = _build_dispatch(plan, witness.access, ft.alphabet)
-    target = universal_dfa(plan.letters)
-    gap = separating_word(image_nfa(t, f), target.to_nfa())
+    t = _build_dispatch(plan, witness.access, f.alphabet)
+    gap = separating_word(image_nfa(t, f), universal_dfa(plan.letters))
     if gap is not None:
         raise CertificateError(
             f"surjection image differs from the full language on {gap!r}")
@@ -169,7 +158,8 @@ def cover(f: Dfa, r: Dfa) -> Dfst:
     checked once, against L(r), before it is returned."""
     verdict = classify(f)
     if not isinstance(verdict, Hard):
-        raise ClassificationMismatch("filter is easy; it does not cover arbitrary languages")
+        raise ClassificationMismatch("filter is easy; it does not cover arbitrary languages",
+                                     verdict)
     letters = r.alphabet if r.alphabet else f.alphabet
     plan = plan_cover(verdict.witness, letters)
     surjection = _build_dispatch(plan, verdict.witness.access, f.alphabet)
@@ -181,21 +171,13 @@ def cover(f: Dfa, r: Dfa) -> Dfst:
 
 
 def cover_gap(t: Dfst, f: Dfa, r: Dfa) -> tuple[str, str] | None:
-    """None when image(t over f) equals L(r); otherwise a separating word
-    tagged with the side it belongs to ("image" or "target").
-
-    One pair search over the image and r yields, at the first length where
-    they differ, the first image-only word (`extra`) and the first
-    target-only word (`missing`); the smaller by (length, word) is
-    reported, and `extra` wins a tie."""
-    image = image_nfa(t, f)
-    alpha = merge_alphabets(image.alphabet, r.alphabet)
-    extra, missing = _pair_search(image, r, alpha, _DIFF)
-    if extra is None and missing is None:
+    """None when image(t over f) equals L(r); otherwise the shortest
+    separating word (`separating_word`'s tie rule) tagged with the side it
+    belongs to ("image" or "target")."""
+    gap = separating_word(image_nfa(t, f), r)
+    if gap is None:
         return None
-    if missing is None or (extra is not None and (len(extra), extra) <= (len(missing), missing)):
-        return extra, "image"
-    return missing, "target"
+    return gap, "target" if r.walk(r.initial, gap) in r.accepting else "image"
 
 
 def verify_cover(t: Dfst, f: Dfa, r: Dfa) -> bool:

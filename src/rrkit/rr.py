@@ -41,8 +41,8 @@ def solve_rr(filter_dfa: Dfa, a: Dfa) -> str | None:
     return _pair_search(filter_dfa, a, alpha, _MEET)[0]
 
 
-def solve_rr_nfa(filter_nfa: Nfa, a: Nfa) -> str | None:
-    """Same contract as solve_rr with both machines nondeterministic."""
+def solve_rr_nfa(filter_nfa: Dfa | Nfa, a: Dfa | Nfa) -> str | None:
+    """Same contract as solve_rr, with either machine nondeterministic."""
     alpha = merge_alphabets(filter_nfa.alphabet, a.alphabet)
     return _pair_search(filter_nfa, a, alpha, _MEET)[0]
 
@@ -63,13 +63,6 @@ def solve_rr_bounded_detail(exprs, a: Dfa):
             if not loop:
                 raise ValueError("bounded expression has an empty loop word")
 
-    def advance(q: int | None, word: str) -> int | None:
-        for c in word:
-            if q is None:
-                return None
-            q = a.transitions.get((q, c))
-        return q
-
     def powers(block, q: int):
         """(exponent, state after the bridge) for each loop power read from
         q, smallest first, until the powers revisit a state."""
@@ -78,10 +71,10 @@ def solve_rr_bounded_detail(exprs, a: Dfa):
         exponent = 0
         while q is not None and q not in seen:
             seen.add(q)
-            after = advance(q, bridge)
+            after = a.walk(q, bridge)
             if after is not None:
                 yield exponent, after
-            q = advance(q, loop)
+            q = a.walk(q, loop)
             exponent += 1
 
     def search(blocks, q: int) -> list[int] | None:
@@ -103,7 +96,7 @@ def solve_rr_bounded_detail(exprs, a: Dfa):
             stack[-1][2], q = step
 
     for index, e in enumerate(exprs):
-        start = advance(a.initial, e.prefix)
+        start = a.walk(a.initial, e.prefix)
         if start is None:
             continue
         exponents = search(e.blocks, start)

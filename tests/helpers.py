@@ -426,7 +426,7 @@ def oracle_classification_text(f: Dfa) -> str:
     if witness is not None:
         verify_witness(ft, witness)
         return classification_to_text(Hard(witness))
-    exprs = _easy_exprs(ft)
+    exprs = _easy_exprs(ft, condense(ft))
     words = _envelope_of(exprs)
     oracle_verify_easy(ft, exprs, words)
     return classification_to_text(Easy(exprs, words))

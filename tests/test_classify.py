@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -242,10 +243,10 @@ class TestLongWalks:
 
 class TestDecomposeEnvelope:
     def test_hard_filter_refused(self):
-        with pytest.raises(ClassificationMismatch):
-            decompose(SIGMA_STAR)
-        with pytest.raises(ClassificationMismatch):
-            envelope(SIGMA_STAR)
+        for fn in (decompose, envelope):
+            with pytest.raises(ClassificationMismatch) as err:
+                fn(SIGMA_STAR)
+            assert err.value.verdict == classify(SIGMA_STAR)
 
     def test_finite_language_gives_loop_free_exprs(self):
         d = determinize(regex_to_nfa("ab|ba"))
@@ -287,6 +288,55 @@ class TestExprToNfa:
     def test_empty_loop_rejected(self):
         with pytest.raises(ValueError):
             expr_to_nfa(BoundedExpr("", (("", "a"),)), ("a",))
+
+    def test_loops_after_an_empty_bridge_keep_their_order(self):
+        n = expr_to_nfa(BoundedExpr("", (("a", ""), ("b", ""))), ("a", "b"))
+        assert lang_upto(n, 3) == {"", "a", "b", "aa", "ab", "bb",
+                                   "aaa", "aab", "abb", "bbb"}
+
+    @staticmethod
+    def _random_expr(rng, alphabet) -> BoundedExpr:
+        def word(lo, hi):
+            return "".join(rng.choice(alphabet) for _ in range(rng.randint(lo, hi)))
+
+        blocks = []
+        for _ in range(rng.randint(0, 4)):
+            # repeat the previous loop now and then, and leave about half
+            # of the bridges empty
+            loop = blocks[-1][0] if blocks and rng.random() < 0.3 else word(1, 3)
+            bridge = "" if rng.random() < 0.5 else word(1, 2)
+            blocks.append((loop, bridge))
+        return BoundedExpr(word(0, 2), tuple(blocks))
+
+    @pytest.mark.parametrize("alphabet", [("a", "b"), ("a", "b", "c")])
+    def test_matches_the_expressions_regex(self, alphabet):
+        rng = random.Random(167 + len(alphabet))
+        for _ in range(60):
+            e = self._random_expr(rng, alphabet)
+            pattern = re.compile(re.escape(e.prefix) + "".join(
+                f"(?:{re.escape(x)})*{re.escape(y)}" for x, y in e.blocks))
+            want = {w for w in words_upto(alphabet, 6) if pattern.fullmatch(w)}
+            assert lang_upto(expr_to_nfa(e, alphabet), 6) == want, e
+
+
+class TestStarChainCertificates:
+    # a*b* as two loops with an empty bridge between them
+    A_THEN_B = (BoundedExpr("", (("a", ""), ("b", ""))),)
+
+    def test_forged_easy_certificate_for_sigma_star_rejected(self):
+        with pytest.raises(CertificateError) as err:
+            verify_easy(universal_dfa("ab"), self.A_THEN_B, ("a", "b"))
+        assert str(err.value) == "decomposition differs from the filter on 'ba'"
+
+    def test_valid_certificate_for_a_star_b_star_accepted(self):
+        verify_easy(A_STAR_B_STAR, self.A_THEN_B, ("a", "b"))
+
+    def test_envelope_in_the_wrong_order_is_rejected(self):
+        # the factors do not embed, so the exact check reads the envelope
+        # as b*a*, which misses `ab`
+        with pytest.raises(CertificateError) as err:
+            verify_easy(A_STAR_B_STAR, self.A_THEN_B, ("b", "a"))
+        assert str(err.value) == "envelope star product misses the filter word 'ab'"
 
 
 class TestCertificateText:

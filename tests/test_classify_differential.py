@@ -216,6 +216,38 @@ class TestEasyPathCallCounts:
         assert got == message == outcome(oracle_verify_easy, f, verdict.decomposition, words)
 
 
+class TestClassifyBuildsOnce:
+    """One trim and one condensation per classify, hard or easy."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = {"trim": 0, "condense": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in counts:
+            for module in (classify_module, automata_module):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+        return counts
+
+    @pytest.mark.parametrize("make, kind", [
+        (lambda: SIGMA_STAR, Hard),
+        (lambda: planted_hard_filter(random.Random(173), 200), Hard),
+        (lambda: ring_filter(random.Random(179), 80, 3), Easy),
+        (lambda: diamond_filter(5), Easy),
+        (lambda: parse_dfa("dfa\nalphabet a\nstates 0\ninitial 0\naccept\n"), Easy),
+    ], ids=["sigma-star", "planted-hard-200", "ring-80", "diamond-5", "empty"])
+    def test_one_trim_and_one_condense(self, calls, make, kind):
+        f = make()
+        assert isinstance(classify(f), kind)
+        assert calls == {"trim": 1, "condense": 1}
+
+
 class TestNoLibraryAsserts:
     def test_forced_ring_rejects_branching_component(self):
         cond = condense(SIGMA_STAR)

@@ -169,8 +169,9 @@ class TestCover:
 
     def test_easy_filter_refused(self):
         a_star = determinize(regex_to_nfa("a*"))
-        with pytest.raises(ClassificationMismatch):
+        with pytest.raises(ClassificationMismatch) as err:
             cover(a_star, SIGMA_STAR)
+        assert err.value.verdict == classify(a_star)
 
     def test_epsilon_only_target(self):
         target = determinize(regex_to_nfa(""))
@@ -287,6 +288,19 @@ class TestCoverChecksOnce:
         assert main(["cover", str(f), str(r)]) == 0
         assert capsys.readouterr().out.endswith("VERIFIED image == target\n")
         assert calls == self.WANT
+
+    def test_cli_cover_on_easy_filter(self, calls, tmp_path, capsys):
+        f = tmp_path / "f.txt"
+        f.write_text("dfa\nalphabet a b\nstates 0 1\ninitial 0\naccept 0 1\n"
+                     "trans 0 a 0\ntrans 0 b 1\ntrans 1 b 1\n")
+        r = tmp_path / "r.txt"
+        r.write_text(dfa_to_text(determinize(regex_to_nfa("(ab)*"))))
+        assert main(["cover", str(f), str(r)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ("EASY\nexpr p=- blocks=(a,-)\n"
+                                "expr p=- blocks=(a,b);(b,-)\nenvelope a b\n")
+        assert captured.err == "easy filter: it does not cover arbitrary languages\n"
+        assert calls["classify"] == 1
 
     def test_wrong_composition_is_caught(self, monkeypatch):
         # a composition that copies the filter instead of mapping it onto
