@@ -4,8 +4,10 @@ Machines are immutable values with integer state IDs. Words are plain
 strings and "" is the empty word. Alphabets keep their declared symbol
 order; that order drives breadth-first tie-breaking, so any witness word
 returned by an operation is shortest first, then lexicographically
-smallest. Every construction renumbers its result canonically (BFS
-discovery order), which makes serialization byte-stable.
+smallest. Constructions return their machines as built. A state's
+number shows only where it is printed, so only serialization (`*_to_text`)
+and `trim` (whose numbers the HARD certificate's `q=` names) renumber, in
+canonical BFS discovery order; that makes the output byte-stable.
 
 Inclusion, equivalence and intersection are decided without building a
 product: `_pair_search` walks pairs of side states breadth-first, in
@@ -156,10 +158,16 @@ def _parse_alphabet(toks, no) -> tuple[str, ...]:
     return tuple(toks)
 
 
+def _is_number(tok: str) -> bool:
+    """A decimal number written in ASCII digits; `str.isdigit` alone also
+    passes digits such as '²', which `int` rejects."""
+    return tok.isascii() and tok.isdigit()
+
+
 def _parse_state_list(toks, no) -> list[int]:
     out = []
     for tok in toks:
-        if not tok.isdigit():
+        if not _is_number(tok):
             raise FormatError(f"bad state id {tok!r}", no)
         out.append(int(tok))
     if len(set(out)) != len(out):
@@ -168,7 +176,7 @@ def _parse_state_list(toks, no) -> list[int]:
 
 
 def _parse_state(tok, states, no) -> int:
-    if not tok.isdigit() or int(tok) not in states:
+    if not _is_number(tok) or int(tok) not in states:
         raise FormatError(f"undeclared state {tok!r}", no)
     return int(tok)
 
@@ -488,8 +496,9 @@ def _reachable(seeds, adjacency) -> set[int]:
 
 def trim(d: Dfa) -> Dfa:
     """Keep exactly the states both reachable from the initial state and
-    co-reachable to an accepting one; an empty language collapses to the
-    canonical one-state machine."""
+    co-reachable to an accepting one, renumbered canonically (certificates
+    name them); an empty language collapses to the canonical one-state
+    machine."""
     fwd: dict[int, list[int]] = {}
     back: dict[int, list[int]] = {}
     for (q, _), t in d.transitions.items():
@@ -544,10 +553,9 @@ def product_intersect(a: Nfa, b: Nfa) -> Nfa:
     accepting = frozenset(
         i for (p, q), i in ids.items() if p in a.accepting and q in b.accepting
     )
-    raw = Nfa(a.alphabet, frozenset(ids.values()),
-              frozenset(ids[pair] for pair in ids if pair[0] in a.initial and pair[1] in b.initial),
-              accepting, tuple(triples))
-    return canonical_nfa(raw)
+    return Nfa(a.alphabet, frozenset(ids.values()),
+               frozenset(ids[pair] for pair in ids if pair[0] in a.initial and pair[1] in b.initial),
+               accepting, tuple(triples))
 
 
 def shortest_word(n: Nfa) -> str | None:
@@ -580,8 +588,8 @@ def complement(d: Dfa) -> Dfa:
     for q in states:
         for sym in d.alphabet:
             transitions.setdefault((q, sym), sink)
-    return canonical_dfa(Dfa(d.alphabet, frozenset(states), d.initial,
-                             frozenset(states) - d.accepting, transitions))
+    return Dfa(d.alphabet, frozenset(states), d.initial,
+               frozenset(states) - d.accepting, transitions)
 
 
 # ---------------------------------------------------------------------------
@@ -721,9 +729,8 @@ def nfa_union(parts, alphabet) -> Nfa:
             triples.append((0, EPS, remap[q]))
         accepting.update(remap[q] for q in part.accepting)
         triples.extend((remap[q], sym, remap[t]) for q, sym, t in part.transitions)
-    raw = Nfa(alphabet, frozenset(states), frozenset(initial),
-              frozenset(accepting), tuple(triples))
-    return canonical_nfa(raw)
+    return Nfa(alphabet, frozenset(states), frozenset(initial),
+               frozenset(accepting), tuple(triples))
 
 
 # ---------------------------------------------------------------------------
@@ -815,9 +822,8 @@ def regex_to_nfa(pattern: str) -> Nfa:
     parser = _RegexParser(pattern)
     start, end = parser.parse()
     alphabet = tuple(sorted({c for c in pattern if c not in "()|*"}))
-    raw = Nfa(alphabet, frozenset(range(parser.count)), frozenset({start}),
-              frozenset({end}), tuple(parser.triples))
-    return canonical_nfa(raw)
+    return Nfa(alphabet, frozenset(range(parser.count)), frozenset({start}),
+               frozenset({end}), tuple(parser.triples))
 
 
 # ---------------------------------------------------------------------------
@@ -828,21 +834,19 @@ def regex_to_nfa(pattern: str) -> Nfa:
 class Condensation:
     """SCC decomposition of a machine's transition graph.
 
-    Components are numbered by their smallest member state. `dag_edges`
-    holds one entry per automaton edge crossing components, so parallel
-    edges are kept.
+    Components are numbered by their smallest member state, so the result
+    does not depend on the order in which Tarjan's search visits states or
+    edges. `nontrivial` marks the components that carry an internal edge.
     """
 
     scc_of: dict[int, int]
     components: tuple[frozenset[int], ...]
-    dag_edges: tuple[tuple[int, int], ...]
     nontrivial: tuple[bool, ...]
 
 
 def condense(d: Dfa) -> Condensation:
     succ: dict[int, list[int]] = {q: [] for q in d.states}
-    for (q, sym), t in sorted(d.transitions.items(),
-                              key=lambda e: (e[0][0], d.alphabet.index(e[0][1]))):
+    for (q, _), t in d.transitions.items():
         succ[q].append(t)
 
     index: dict[int, int] = {}
@@ -852,7 +856,7 @@ def condense(d: Dfa) -> Condensation:
     components: list[frozenset[int]] = []
     counter = 0
 
-    for root in sorted(d.states):
+    for root in d.states:
         if root in index:
             continue
         work = [(root, 0)]
@@ -892,13 +896,8 @@ def condense(d: Dfa) -> Condensation:
 
     components.sort(key=min)
     scc_of = {q: i for i, comp in enumerate(components) for q in comp}
-    dag_edges = []
     internal = [False] * len(components)
     for (q, _), t in d.transitions.items():
-        cq, ct = scc_of[q], scc_of[t]
-        if cq == ct:
-            internal[cq] = True
-        else:
-            dag_edges.append((cq, ct))
-    return Condensation(scc_of, tuple(components), tuple(sorted(dag_edges)),
-                        tuple(internal))
+        if scc_of[q] == scc_of[t]:
+            internal[scc_of[q]] = True
+    return Condensation(scc_of, tuple(components), tuple(internal))

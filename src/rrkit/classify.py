@@ -42,7 +42,7 @@ from .automata import (
     Dfa,
     FormatError,
     Nfa,
-    canonical_nfa,
+    _is_number,
     condense,
     inclusion_counterexample,
     nfa_union,
@@ -109,10 +109,10 @@ def primitive_root(w: str) -> str:
     if not w:
         raise ValueError("the empty word has no primitive root")
     n = len(w)
-    for d in range(1, n + 1):
+    for d in range(1, n):
         if n % d == 0 and w[:d] * (n // d) == w:
             return w[:d]
-    raise AssertionError("unreachable")
+    return w
 
 
 def normalize_witness(u0: str, v0: str) -> tuple[str, str]:
@@ -164,7 +164,7 @@ def _shortest_cycle(d: Dfa, q: int, component) -> str:
             if t not in seen:
                 seen.add(t)
                 queue.append((t, word + sym))
-    raise AssertionError("state in a cycle-bearing component has no cycle")
+    raise CertificateError("state in a cycle-bearing component has no cycle")
 
 
 def _cycle_nfa(d: Dfa, q: int, component) -> Nfa:
@@ -406,9 +406,8 @@ def expr_to_nfa(e: BoundedExpr, alphabet) -> Nfa:
         triples.append((back, loop[-1], cur))
         looped = cur
         cur = chain(cur, bridge)
-    raw = Nfa(alphabet, frozenset(range(count)), frozenset({start}),
-              frozenset({cur}), tuple(triples))
-    return canonical_nfa(raw)
+    return Nfa(alphabet, frozenset(range(count)), frozenset({start}),
+               frozenset({cur}), tuple(triples))
 
 
 def verify_easy(f: Dfa, decomposition, envelope) -> None:
@@ -533,7 +532,7 @@ def classification_from_text(text: str) -> Classification:
         if len(toks) != 6:
             raise FormatError("want `hard q=<id> p=<word> u=<word> v=<word> s=<word>`", no)
         state = _field(toks[1], "q", no)
-        if not state.isdigit():
+        if not _is_number(state):
             raise FormatError(f"bad state id {state!r}", no)
         return Hard(HardnessWitness(
             int(state),

@@ -29,7 +29,7 @@ from .classify import (
     classify,
     verify_witness,
 )
-from .transducer import Dfst, canonical_dfst, compose_dfst, identity_transducer, image_nfa
+from .transducer import Dfst, compose_dfst, identity_transducer, image_nfa
 
 
 @dataclass(frozen=True)
@@ -72,15 +72,22 @@ def _decode(plan: CoverPlan, bits: str) -> str:
 
 
 def _build_dispatch(plan: CoverPlan, access: str, in_alphabet) -> Dfst:
-    transitions: dict[tuple[tuple, str], tuple[str, tuple]] = {}
+    """The dispatch trie as a transducer; its states are numbered in the
+    order they are first seen."""
+    ids: dict[tuple, int] = {}
+    transitions: dict[tuple[int, str], tuple[str, int]] = {}
+
+    def node(key: tuple) -> int:
+        return ids.setdefault(key, len(ids))
 
     def add(src, sym, out, dst):
-        prior = transitions.get((src, sym))
+        edge = (node(src), sym)
+        prior = transitions.get(edge)
         if prior is not None:
-            if prior != (out, dst):
+            if prior != (out, node(dst)):
                 raise CertificateError(f"dispatch trie collision at {src!r} on {sym!r}")
             return
-        transitions[(src, sym)] = (out, dst)
+        transitions[edge] = (out, node(dst))
 
     def hub(bits: str) -> tuple:
         return ("hub", bits)
@@ -118,22 +125,8 @@ def _build_dispatch(plan: CoverPlan, access: str, in_alphabet) -> Dfst:
                 src = mid
             add(src, word[-1], out, target)
 
-    keys = {start, accept}
-    for (src, _), (_, dst) in transitions.items():
-        keys.add(src)
-        keys.add(dst)
-    ids = {key: i for i, key in enumerate(sorted(keys, key=repr))}
-    raw = Dfst(
-        tuple(in_alphabet),
-        plan.letters,
-        frozenset(ids.values()),
-        ids[start],
-        frozenset({ids[accept]}),
-        {(ids[src], sym): (out, ids[dst])
-         for (src, sym), (out, dst) in transitions.items()},
-        {},
-    )
-    return canonical_dfst(raw)
+    return Dfst(tuple(in_alphabet), plan.letters, frozenset(ids.values()), ids[start],
+                frozenset({ids[accept]}), transitions, {})
 
 
 def surjection_to_star(f: Dfa, witness: HardnessWitness, letters) -> Dfst:

@@ -21,6 +21,7 @@ from .automata import (
     FormatError,
     Nfa,
     _MEET,
+    _is_number,
     _logical_lines,
     _pair_search,
     determinize,
@@ -28,7 +29,7 @@ from .automata import (
     run,
     run_nfa,
 )
-from .classify import expr_to_nfa
+from .classify import CertificateError, expr_to_nfa
 from .transducer import Dfst, preimage_automaton
 
 
@@ -106,11 +107,11 @@ def solve_rr_bounded_detail(exprs, a: Dfa):
             loop * k + bridge for (loop, bridge), k in zip(e.blocks, exponents)
         )
         if not run(a, word):
-            raise AssertionError("bounded solver produced a word the machine rejects")
+            raise CertificateError("bounded solver produced a word the machine rejects")
         expr_symbols = sorted(set(e.prefix) | {c for x, y in e.blocks for c in x + y})
         alpha = merge_alphabets(a.alphabet, expr_symbols)
         if not run_nfa(expr_to_nfa(e, alpha), word):
-            raise AssertionError("bounded solver produced a word outside its expression")
+            raise CertificateError("bounded solver produced a word outside its expression")
         return word, index, exponents
     return None
 
@@ -164,7 +165,7 @@ def parse_digraph(text: str) -> Digraph:
         no, toks = lines[i]
         if toks[0] != keyword:
             raise FormatError(f"expected `{keyword}`, got `{toks[0]}`", no)
-        if len(toks) != 2 or not toks[1].isdigit():
+        if len(toks) != 2 or not _is_number(toks[1]):
             raise FormatError(f"want `{keyword} <number>`", no)
         return no, int(toks[1])
 
@@ -175,7 +176,7 @@ def parse_digraph(text: str) -> Digraph:
     for no, toks in lines[4:]:
         if toks[0] != "edge" or len(toks) != 3:
             raise FormatError("want `edge <from> <to>`", no)
-        if not (toks[1].isdigit() and toks[2].isdigit()):
+        if not (_is_number(toks[1]) and _is_number(toks[2])):
             raise FormatError("edge endpoints must be node numbers", no)
         u, v = int(toks[1]), int(toks[2])
         if u >= nodes or v >= nodes:

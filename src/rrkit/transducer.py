@@ -29,7 +29,6 @@ from .automata import (
     _parse_state,
     _parse_state_list,
     _section,
-    canonical_nfa,
     word_from_text,
     word_to_text,
 )
@@ -131,9 +130,8 @@ def compose_dfst(t1: Dfst, t2: Dfst) -> Dfst:
                 j = ids[(q1next, q2next)] = len(ids)
                 queue.append((q1next, q2next))
             transitions[(i, sym)] = (out, j)
-    raw = Dfst(t1.in_alphabet, t2.out_alphabet, frozenset(ids.values()), 0,
-               frozenset(accepting), transitions, final_output)
-    return canonical_dfst(raw)
+    return Dfst(t1.in_alphabet, t2.out_alphabet, frozenset(ids.values()), 0,
+                frozenset(accepting), transitions, final_output)
 
 
 def preimage_automaton(t: Dfst, a: Dfa) -> Nfa:
@@ -165,9 +163,8 @@ def preimage_automaton(t: Dfst, a: Dfa) -> Nfa:
                 j = ids[(qt2, qa2)] = len(ids)
                 queue.append((qt2, qa2))
             triples.append((i, sym, j))
-    raw = Nfa(t.in_alphabet, frozenset(ids.values()), frozenset({0}),
-              frozenset(accepting), tuple(triples))
-    return canonical_nfa(raw)
+    return Nfa(t.in_alphabet, frozenset(ids.values()), frozenset({0}),
+               frozenset(accepting), tuple(triples))
 
 
 def image_nfa(t: Dfst, a: Dfa) -> Nfa:
@@ -220,9 +217,8 @@ def image_nfa(t: Dfst, a: Dfa) -> Nfa:
                 seen.add((qt2, qa2))
                 queue.append((qt2, qa2))
             emit_path(i, out, node((qt2, qa2)), ("step", pair, sym))
-    raw = Nfa(t.out_alphabet, frozenset(ids.values()), frozenset({start}),
-              frozenset({sink}), tuple(triples))
-    return canonical_nfa(raw)
+    return Nfa(t.out_alphabet, frozenset(ids.values()), frozenset({start}),
+               frozenset({sink}), tuple(triples))
 
 
 def identity_transducer(a: Dfa) -> Dfst:
@@ -231,9 +227,8 @@ def identity_transducer(a: Dfa) -> Dfst:
     transitions = {
         (q, sym): (sym, t) for (q, sym), t in a.transitions.items()
     }
-    raw = Dfst(a.alphabet, a.alphabet, a.states, a.initial, a.accepting,
-               transitions, {})
-    return canonical_dfst(raw)
+    return Dfst(a.alphabet, a.alphabet, a.states, a.initial, a.accepting,
+                transitions, {})
 
 
 def canonical_dfst(t: Dfst) -> Dfst:

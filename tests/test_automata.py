@@ -367,17 +367,7 @@ class TestCondense:
         c = condense(d)
         assert len(c.components) == 2
         assert all(c.nontrivial)
-        assert c.dag_edges == ((c.scc_of[0], c.scc_of[1]),)
-
-    def test_every_edge_mapped(self):
-        rng = random.Random(17)
-        for _ in range(20):
-            d = random_dfa(rng, 5)
-            c = condense(d)
-            crossing = sum(
-                1 for (q, _), t in d.transitions.items()
-                if c.scc_of[q] != c.scc_of[t])
-            assert crossing == len(c.dag_edges)
+        assert c.scc_of[0] != c.scc_of[1]
 
 
 class TestRun:

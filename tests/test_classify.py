@@ -57,6 +57,9 @@ class TestPrimitiveRoot:
     def test_primitive_word(self):
         assert primitive_root("aba") == "aba"
 
+    def test_single_letter(self):
+        assert primitive_root("b") == "b"
+
     def test_sixth_power(self):
         # independent check: try every divisor of 6 by hand
         assert all("aaaaaa" != ("a" * d) * (6 // d) or d >= 1 for d in (1, 2, 3, 6))

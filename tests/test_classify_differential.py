@@ -32,7 +32,7 @@ from rrkit import (
     universal_dfa,
     verify_easy,
 )
-from rrkit.classify import _forced_ring
+from rrkit.classify import _forced_ring, _shortest_cycle
 
 # the package re-exports the function `classify` under the module's name
 classify_module = importlib.import_module("rrkit.classify")
@@ -254,11 +254,18 @@ class TestNoLibraryAsserts:
         with pytest.raises(CertificateError):
             _forced_ring(SIGMA_STAR, 0, cond.components[0], cond.scc_of)
 
+    def test_shortest_cycle_rejects_acyclic_component(self):
+        chain = parse_dfa("dfa\nalphabet a\nstates 0 1\ninitial 0\naccept 1\ntrans 0 a 1\n")
+        with pytest.raises(CertificateError, match="has no cycle"):
+            _shortest_cycle(chain, 0, frozenset({0}))
+
     def test_no_assert_statements_in_library(self):
         root = pathlib.Path(rrkit.__file__).parent
         found = []
         for path in sorted(root.rglob("*.py")):
             tree = ast.parse(path.read_text(), filename=str(path))
             found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
-                      if isinstance(node, ast.Assert)]
-        assert not found, "library code must not rely on assert: " + ", ".join(found)
+                      if isinstance(node, ast.Assert)
+                      or (isinstance(node, ast.Name) and node.id == "AssertionError")]
+        assert not found, ("library code must not rely on assert or AssertionError: "
+                           + ", ".join(found))

@@ -7,9 +7,12 @@ import pytest
 
 from helpers import looped_chain
 from rrkit import (
+    FormatError,
+    classification_from_text,
     dfa_to_text,
     equivalent,
     parse_dfa,
+    parse_digraph,
     parse_dfst,
     parse_nfa,
     regex_to_nfa,
@@ -322,6 +325,199 @@ class TestComposeImageEquiv:
         code, out, _ = run_main(capsys, "equiv", left, right)
         assert code == 0
         assert out == "DIFFER b\n"
+
+
+# Byte-exact outputs on small fixed inputs. The serializers renumber, so the
+# text must not depend on how a construction numbered its states.
+IMAGE_T_TEXT = """dfst
+in_alphabet a b
+out_alphabet a b
+states 0 1
+initial 0
+accept 1
+trans 0 a a 1
+trans 0 b a 1
+trans 1 a ab 1
+trans 1 b - 0
+final 1 b
+"""
+
+IMAGE_INPUT_TEXT = """dfa
+alphabet a b
+states 0 1 2
+initial 0
+accept 1 2
+trans 0 a 1
+trans 0 b 2
+trans 1 a 1
+trans 2 b 0
+"""
+
+# state 0 has two successors on `a`: the input's `a` and `b` both emit `a`
+IMAGE_GOLDEN = """nfa
+alphabet a b
+states 0 1 2 3 4
+initial 0
+accept 4
+trans 0 a 1
+trans 0 a 2
+trans 1 a 3
+trans 1 b 4
+trans 2 eps 0
+trans 2 b 4
+trans 3 b 1
+"""
+
+FIRST_T_TEXT = """dfst
+in_alphabet a b
+out_alphabet a b
+states 0 1
+initial 0
+accept 0 1
+trans 0 a ab 1
+trans 0 b - 0
+trans 1 a b 0
+trans 1 b ba 1
+final 1 a
+"""
+
+SECOND_T_TEXT = """dfst
+in_alphabet a b
+out_alphabet x y
+states 0 1
+initial 0
+accept 0
+trans 0 a x 1
+trans 0 b - 0
+trans 1 a - 0
+trans 1 b yx 0
+final 0 y
+"""
+
+COMPOSE_GOLDEN = """dfst
+in_alphabet a b
+out_alphabet x y
+states 0 1 2
+initial 0
+accept 0 2
+trans 0 a xyx 1
+trans 0 b - 0
+trans 1 a - 0
+trans 1 b x 2
+trans 2 a yx 0
+trans 2 b yxx 2
+final 0 y
+final 2 y
+"""
+
+REDUCE_INPUT_TEXT = """dfa
+alphabet a b
+states 0 1 2
+initial 0
+accept 2
+trans 0 a 1
+trans 0 b 0
+trans 1 a 1
+trans 1 b 2
+trans 2 a 2
+trans 2 b 2
+"""
+
+REDUCE_GOLDEN = """dfa
+alphabet a b
+states 0 1 2
+initial 0
+accept 1 2
+trans 0 a 1
+trans 0 b 0
+trans 1 a 2
+trans 1 b 1
+trans 2 a 1
+trans 2 b 2
+"""
+
+COVER_GOLDEN = """dfst
+in_alphabet a b
+out_alphabet a b
+states 0 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16 17
+initial 0
+accept 8
+trans 0 a - 1
+trans 0 b - 2
+trans 1 b - 3
+trans 2 a - 4
+trans 3 a - 5
+trans 3 b - 6
+trans 4 a - 7
+trans 5 b - 8
+trans 6 a a 9
+trans 9 a - 10
+trans 9 b - 11
+trans 10 b - 12
+trans 11 a - 13
+trans 12 a - 14
+trans 12 b - 15
+trans 13 a - 16
+trans 14 b - 17
+trans 16 b b 0
+VERIFIED image == target
+"""
+
+
+class TestGoldenArtifacts:
+    def test_image(self, files, capsys):
+        argv = ("image", files("t.dfst", IMAGE_T_TEXT), files("a.txt", IMAGE_INPUT_TEXT))
+        assert run_main(capsys, *argv) == (0, IMAGE_GOLDEN, "")
+
+    def test_compose(self, files, capsys):
+        argv = ("compose", files("t1.dfst", FIRST_T_TEXT), files("t2.dfst", SECOND_T_TEXT))
+        assert run_main(capsys, *argv) == (0, COMPOSE_GOLDEN, "")
+
+    def test_reduce(self, files, capsys):
+        argv = ("reduce", files("t.dfst", FIRST_T_TEXT), files("a.txt", REDUCE_INPUT_TEXT))
+        assert run_main(capsys, *argv) == (0, REDUCE_GOLDEN, "")
+
+    def test_cover(self, files, capsys):
+        argv = ("cover", files("f.txt", SIGMA_STAR_TEXT), files("t.txt", AB_STAR_TEXT))
+        assert run_main(capsys, *argv) == (0, COVER_GOLDEN, "")
+
+
+# `str.isdigit` holds for both; `int` rejects "²" and reads "٣" as 3
+UNICODE_DIGITS = ["²", "٣"]
+
+# parser, input text with the digit at {d}, CLI command that reads it
+DIGIT_CASES = {
+    "dfa-states": (parse_dfa, "dfa\nalphabet a\nstates 0 {d}\ninitial 0\naccept 0\n",
+                   "classify"),
+    "dfa-initial": (parse_dfa, "dfa\nalphabet a\nstates 0 3\ninitial {d}\naccept 0\n",
+                    "classify"),
+    "nfa-trans": (parse_nfa,
+                  "nfa\nalphabet a\nstates 0 3\ninitial 0\naccept 0\ntrans 0 a {d}\n",
+                  "classify"),
+    "dfst-states": (parse_dfst, "dfst\nin_alphabet a\nout_alphabet a\nstates 0 {d}\n"
+                    "initial 0\naccept 0\n", "compose"),
+    "graph-nodes": (parse_digraph, "graph\nnodes {d}\nsource 0\ntarget 0\n", "gadget"),
+    "graph-edge": (parse_digraph, "graph\nnodes 4\nsource 0\ntarget 0\nedge 0 {d}\n",
+                   "gadget"),
+    "certificate": (classification_from_text, "hard q={d} p=- u=ab v=ba s=-\n", None),
+}
+
+
+@pytest.mark.parametrize("digit", UNICODE_DIGITS, ids=["superscript-2", "arabic-indic-3"])
+@pytest.mark.parametrize("case", sorted(DIGIT_CASES))
+def test_unicode_digit_is_a_format_error(case, digit, tmp_path, capsys):
+    parse, template, command = DIGIT_CASES[case]
+    text = template.format(d=digit)
+    with pytest.raises(FormatError):
+        parse(text)
+    if command is None:
+        return
+    path = tmp_path / "input.txt"
+    path.write_text(text, encoding="utf-8")
+    operands = {"classify": [path], "compose": [path, path], "gadget": [path, "--word", "a"]}
+    code, out, err = run_main(capsys, command, *map(str, operands[command]))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
 
 
 class TestDeterminismAndRoundTrip:

@@ -270,8 +270,8 @@ class TestNoProductBuilt:
         solve_rr(a, b)
         separating_word(a.to_nfa(), b.to_nfa())
         inclusion_counterexample(a, b.to_nfa())
-        # the image machine itself is built (and renumbered) by the
-        # transducer module, whose bindings are not counted
+        # the image machine itself is built by the transducer module,
+        # whose bindings are not counted
         cover_gap(identity_transducer(a), a, b)
         assert calls == dict.fromkeys(self.GUARDED, 0)
 
