@@ -24,6 +24,8 @@ order such as `("b", "a")`.
 
 from __future__ import annotations
 
+import math
+import sys
 from collections import deque
 from dataclasses import dataclass
 
@@ -158,10 +160,16 @@ def _parse_alphabet(toks, no) -> tuple[str, ...]:
     return tuple(toks)
 
 
+# `int` refuses decimal strings with more digits than this (Python >= 3.11
+# and late 3.10 releases; the limit is read once, at import)
+_MAX_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)() or math.inf
+
+
 def _is_number(tok: str) -> bool:
-    """A decimal number written in ASCII digits; `str.isdigit` alone also
-    passes digits such as '²', which `int` rejects."""
-    return tok.isascii() and tok.isdigit()
+    """A decimal number written in ASCII digits that `int` converts;
+    `str.isdigit` alone also passes digits such as '²', which `int`
+    rejects, and `int` raises on more than `_MAX_DIGITS` digits."""
+    return tok.isascii() and tok.isdigit() and len(tok) <= _MAX_DIGITS
 
 
 def _parse_state_list(toks, no) -> list[int]:
@@ -820,7 +828,12 @@ def regex_to_nfa(pattern: str) -> Nfa:
     """Inductive construction; the alphabet is the sorted set of literals.
     The empty pattern denotes the language containing only the empty word."""
     parser = _RegexParser(pattern)
-    start, end = parser.parse()
+    try:
+        start, end = parser.parse()
+    except RecursionError:
+        # the descent takes a few frames per `(`; past the interpreter's
+        # stack limit the pattern is refused rather than crashing
+        raise FormatError("pattern nests too deeply") from None
     alphabet = tuple(sorted({c for c in pattern if c not in "()|*"}))
     return Nfa(alphabet, frozenset(range(parser.count)), frozenset({start}),
                frozenset({end}), tuple(parser.triples))

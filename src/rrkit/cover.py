@@ -12,8 +12,17 @@ prefix-incomparable cycles u and v the three codes are
 
 which are pairwise prefix-incomparable, so the dispatch trie is
 deterministic. Composing the surjection with the copy machine of the
-target language restricts the image to exactly that language. `cover`
-checks that composed image once, against the target, before returning.
+target language restricts the image to exactly that language.
+
+`cover` proves that composed image equal to the target before returning,
+by the trie's right inverse e(w) = access · code(w) · u u s, where code(w)
+spells each letter's bits in zero and one words. Two deterministic walks
+decide it, with no image automaton and no subset search: (a) no reachable
+triple of transducer, filter and target states ends a filter word with an
+output the target rejects, and (b) for every target word w, e(w) lies in
+the filter and the transducer maps it back to w. (b) is sufficient, not
+necessary; when either walk fails, the exact check (`cover_gap`) decides,
+so a refused cover names the same separating word as before.
 """
 
 from __future__ import annotations
@@ -29,7 +38,7 @@ from .classify import (
     classify,
     verify_witness,
 )
-from .transducer import Dfst, compose_dfst, identity_transducer, image_nfa
+from .transducer import Dfst, _feed, compose_dfst, identity_transducer, image_nfa
 
 
 @dataclass(frozen=True)
@@ -129,26 +138,113 @@ def _build_dispatch(plan: CoverPlan, access: str, in_alphabet) -> Dfst:
                 frozenset({ids[accept]}), transitions, {})
 
 
+def _image_within(t: Dfst, f: Dfa, r: Dfa) -> bool:
+    """(a) image(t over f) ⊆ L(r). Walks the reachable triples of t, f and r
+    states, r following t's output; a missing r transition is a dead,
+    rejecting state (None), which is kept, not pruned. False when some
+    triple has t and f accepting while r rejects after the final output."""
+    t_trans, f_trans, r_trans = t.transitions, f.transitions, r.transitions
+    t_accepting, f_accepting = t.accepting, f.accepting
+    start = (t.initial, f.initial, r.initial)
+    seen = {start}
+    stack = [start]
+    while stack:
+        qt, qf, qr = stack.pop()
+        if qt in t_accepting and qf in f_accepting \
+                and r.walk(qr, t.final_output.get(qt, "")) not in r.accepting:
+            return False
+        for sym in f.alphabet:
+            tr = t_trans.get((qt, sym))
+            qf2 = f_trans.get((qf, sym))
+            if tr is None or qf2 is None:
+                continue
+            out, qt2 = tr
+            qr2 = qr
+            for c in out:
+                qr2 = r_trans.get((qr2, c))  # (None, c) is no key: dead stays dead
+            triple = (qt2, qf2, qr2)
+            if triple not in seen:
+                seen.add(triple)
+                stack.append(triple)
+    return True
+
+
+def _inverse_reaches(t: Dfst, f: Dfa, r: Dfa, plan: CoverPlan) -> bool:
+    """(b) L(r) ⊆ image(t over f), by the right inverse
+    e(w) = access · code(w) · stop word. Walks the reachable (r, t, f)
+    states from the access word: on every r letter c, f must be defined on
+    code(c) and t must emit exactly c; at every accepting r state the stop
+    word must take f to acceptance and t to an accepting state with empty
+    output. r's letters must be among the plan's. Sufficient, not
+    necessary: False means only "not proved"."""
+    codes = {letter: "".join(plan.one_word if bit == "1" else plan.zero_word for bit in bits)
+             for letter, bits in plan.letter_codes}
+    access = plan.witness.access
+    fed = _feed(t, t.initial, access)
+    qf = f.walk(f.initial, access)
+    if fed is None or fed[0] or qf is None:
+        return False
+    stop = plan.stop_word
+    start = (r.initial, fed[1], qf)
+    seen = {start}
+    stack = [start]
+    while stack:
+        qr, qt, qf = stack.pop()
+        if qr in r.accepting:
+            fed = _feed(t, qt, stop)
+            if fed is None or fed[0] or fed[1] not in t.accepting \
+                    or t.final_output.get(fed[1]) or f.walk(qf, stop) not in f.accepting:
+                return False
+        for c in r.alphabet:
+            qr2 = r.transitions.get((qr, c))
+            if qr2 is None:
+                continue
+            code = codes[c]
+            fed = _feed(t, qt, code)
+            qf2 = f.walk(qf, code)
+            if fed is None or fed[0] != c or qf2 is None:
+                return False
+            state = (qr2, fed[1], qf2)
+            if state not in seen:
+                seen.add(state)
+                stack.append(state)
+    return True
+
+
+def _image_proved(t: Dfst, f: Dfa, r: Dfa, plan: CoverPlan) -> bool:
+    """True when the two walks prove image(t over f) = L(r)."""
+    return _image_within(t, f, r) and _inverse_reaches(t, f, r, plan)
+
+
 def surjection_to_star(f: Dfa, witness: HardnessWitness, letters) -> Dfst:
     """Transducer whose image over L(f) is exactly Γ* for Γ = `letters`.
 
-    The witness must be valid for trim(f); the image equivalence is checked
-    before returning.
+    The witness must be valid for trim(f). Before returning, the image is
+    proved equal to Γ* by the right-inverse walks, or, when they fail, by
+    `separating_word`.
     """
     verify_witness(f, witness)
     plan = plan_cover(witness, letters)
     t = _build_dispatch(plan, witness.access, f.alphabet)
-    gap = separating_word(image_nfa(t, f), universal_dfa(plan.letters))
-    if gap is not None:
-        raise CertificateError(
-            f"surjection image differs from the full language on {gap!r}")
+    star = universal_dfa(plan.letters)
+    if not _image_proved(t, f, star, plan):
+        gap = separating_word(image_nfa(t, f), star)
+        if gap is not None:
+            raise CertificateError(
+                f"surjection image differs from the full language on {gap!r}")
     return t
 
 
 def cover(f: Dfa, r: Dfa) -> Dfst:
     """Transducer mapping the hard filter f onto L(r): the dispatch trie of
-    f's witness composed with the copy machine of r. Its image over L(f) is
-    checked once, against L(r), before it is returned."""
+    f's witness composed with the copy machine of r.
+
+    Before it is returned, its image over L(f) is proved equal to L(r) by
+    two deterministic walks over the trie's right inverse (see the module
+    docstring). Only when a walk fails does the exact check `cover_gap`
+    run; a gap it finds raises `CertificateError` naming the word, and
+    none returns the transducer.
+    """
     verdict = classify(f)
     if not isinstance(verdict, Hard):
         raise ClassificationMismatch("filter is easy; it does not cover arbitrary languages",
@@ -157,9 +253,10 @@ def cover(f: Dfa, r: Dfa) -> Dfst:
     plan = plan_cover(verdict.witness, letters)
     surjection = _build_dispatch(plan, verdict.witness.access, f.alphabet)
     combined = compose_dfst(surjection, identity_transducer(widen_dfa(r, letters)))
-    gap = cover_gap(combined, f, r)
-    if gap is not None:
-        raise CertificateError(f"cover image differs from the target on {gap[0]!r}")
+    if not _image_proved(combined, f, r, plan):
+        gap = cover_gap(combined, f, r)
+        if gap is not None:
+            raise CertificateError(f"cover image differs from the target on {gap[0]!r}")
     return combined
 
 

@@ -231,31 +231,6 @@ def identity_transducer(a: Dfa) -> Dfst:
                 transitions, {})
 
 
-def canonical_dfst(t: Dfst) -> Dfst:
-    """BFS renumbering over input symbols in alphabet order; unreachable
-    states are dropped."""
-    order = {t.initial: 0}
-    queue = deque([t.initial])
-    while queue:
-        q = queue.popleft()
-        for sym in t.in_alphabet:
-            tr = t.transitions.get((q, sym))
-            if tr is not None and tr[1] not in order:
-                order[tr[1]] = len(order)
-                queue.append(tr[1])
-    transitions = {
-        (order[q], sym): (out, order[dst])
-        for (q, sym), (out, dst) in t.transitions.items()
-        if q in order
-    }
-    final_output = {
-        order[q]: out for q, out in t.final_output.items() if q in order and out
-    }
-    return Dfst(t.in_alphabet, t.out_alphabet, frozenset(order.values()), 0,
-                frozenset(order[q] for q in t.accepting if q in order),
-                transitions, final_output)
-
-
 # ---------------------------------------------------------------------------
 # text format
 #
@@ -327,19 +302,41 @@ def parse_dfst(text: str) -> Dfst:
 
 
 def dfst_to_text(t: Dfst) -> str:
-    t = canonical_dfst(t)
-    idx = {sym: k for k, sym in enumerate(t.in_alphabet)}
+    """Text of t with its states renumbered in breadth-first order over
+    input symbols in alphabet order; unreachable states are dropped. Each
+    state's lines are written as it is dequeued, which is already the
+    sorted order."""
+    order = {t.initial: 0}
+    queue = deque([t.initial])
+    accepting: list[str] = []
+    trans_lines: list[str] = []
+    final_lines: list[str] = []
+    while queue:
+        q = queue.popleft()
+        i = order[q]
+        if q in t.accepting:
+            accepting.append(str(i))
+            out = t.final_output.get(q)
+            if out:
+                final_lines.append(f"final {i} {word_to_text(out)}")
+        for sym in t.in_alphabet:
+            tr = t.transitions.get((q, sym))
+            if tr is None:
+                continue
+            out, dst = tr
+            j = order.get(dst)
+            if j is None:
+                j = order[dst] = len(order)
+                queue.append(dst)
+            trans_lines.append(f"trans {i} {sym} {word_to_text(out)} {j}")
     lines = [
         "dfst",
         _kw_line("in_alphabet", t.in_alphabet),
         _kw_line("out_alphabet", t.out_alphabet),
-        _kw_line("states", (str(q) for q in sorted(t.states))),
-        f"initial {t.initial}",
-        _kw_line("accept", (str(q) for q in sorted(t.accepting))),
+        _kw_line("states", (str(q) for q in range(len(order)))),
+        "initial 0",
+        _kw_line("accept", accepting),
+        *trans_lines,
+        *final_lines,
     ]
-    for (q, sym), (out, dst) in sorted(t.transitions.items(),
-                                       key=lambda e: (e[0][0], idx[e[0][1]])):
-        lines.append(f"trans {q} {sym} {word_to_text(out)} {dst}")
-    for q in sorted(t.final_output):
-        lines.append(f"final {q} {word_to_text(t.final_output[q])}")
     return "\n".join(lines) + "\n"

@@ -33,13 +33,14 @@ from rrkit import (
     run_nfa,
     separating_word,
     shortest_word,
-    surjection_to_star,
     trim,
+    universal_dfa,
     verify_witness,
     widen_dfa,
     widen_nfa,
 )
 from rrkit.automata import word_to_text
+from rrkit.cover import _build_dispatch, plan_cover
 from rrkit.classify import (
     _easy_exprs,
     _envelope_of,
@@ -491,6 +492,48 @@ def planted_hard_filter(rng: random.Random, n) -> Dfa:
 # differential oracles
 
 
+def oracle_dfst_to_text(t: Dfst) -> str:
+    """Two-pass serializer: renumber breadth-first into a new machine, then
+    print it with its state ids and transitions sorted."""
+    order = {t.initial: 0}
+    queue = [t.initial]
+    for q in queue:
+        for sym in t.in_alphabet:
+            tr = t.transitions.get((q, sym))
+            if tr is not None and tr[1] not in order:
+                order[tr[1]] = len(order)
+                queue.append(tr[1])
+    idx = {sym: k for k, sym in enumerate(t.in_alphabet)}
+    transitions = [((order[q], sym), (out, order[dst]))
+                   for (q, sym), (out, dst) in t.transitions.items() if q in order]
+    transitions.sort(key=lambda e: (e[0][0], idx[e[0][1]]))
+    final = sorted((order[q], out) for q, out in t.final_output.items() if q in order and out)
+    lines = [
+        "dfst",
+        " ".join(["in_alphabet", *t.in_alphabet]),
+        " ".join(["out_alphabet", *t.out_alphabet]),
+        " ".join(["states", *map(str, sorted(order.values()))]),
+        "initial 0",
+        " ".join(["accept", *map(str, sorted(order[q] for q in t.accepting if q in order))]),
+    ]
+    lines += [f"trans {q} {sym} {word_to_text(out)} {dst}" for (q, sym), (out, dst) in transitions]
+    lines += [f"final {q} {word_to_text(out)}" for q, out in final]
+    return "\n".join(lines) + "\n"
+
+
+def oracle_surjection_to_star(f: Dfa, witness: HardnessWitness, letters) -> Dfst:
+    """Surjection onto Γ* whose image is checked by `separating_word`
+    against the full language."""
+    verify_witness(f, witness)
+    plan = plan_cover(witness, letters)
+    t = _build_dispatch(plan, witness.access, f.alphabet)
+    gap = separating_word(image_nfa(t, f), universal_dfa(plan.letters))
+    if gap is not None:
+        raise CertificateError(
+            f"surjection image differs from the full language on {gap!r}")
+    return t
+
+
 def oracle_cover(f: Dfa, r: Dfa) -> Dfst:
     """Cover checked three times: classify, the surjection's own image check
     against Γ*, then the composed image against the target."""
@@ -498,7 +541,7 @@ def oracle_cover(f: Dfa, r: Dfa) -> Dfst:
     if not isinstance(verdict, Hard):
         raise ClassificationMismatch("filter is easy; it does not cover arbitrary languages")
     letters = r.alphabet if r.alphabet else f.alphabet
-    surjection = surjection_to_star(f, verdict.witness, letters)
+    surjection = oracle_surjection_to_star(f, verdict.witness, letters)
     copier = identity_transducer(widen_dfa(r, letters))
     combined = compose_dfst(surjection, copier)
     gap = separating_word(image_nfa(combined, f), r.to_nfa())

@@ -272,7 +272,7 @@ class TestCoverChecksOnce:
                     monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
         return counts
 
-    WANT = {"classify": 1, "image_nfa": 1, "surjection_to_star": 0, "verify_cover": 0}
+    WANT = {"classify": 1, "image_nfa": 0, "surjection_to_star": 0, "verify_cover": 0}
 
     def test_library_cover(self, calls):
         f = planted_hard_filter(random.Random(151), 40)
@@ -311,3 +311,10 @@ class TestCoverChecksOnce:
         with pytest.raises(CertificateError) as err:
             cover(SIGMA_STAR, target)
         assert str(err.value) == "cover image differs from the target on 'a'"
+
+    def test_refused_cover_checks_once(self, calls, monkeypatch):
+        monkeypatch.setattr(cover_module, "compose_dfst",
+                            lambda first, second: identity_transducer(SIGMA_STAR))
+        with pytest.raises(CertificateError):
+            cover(SIGMA_STAR, determinize(regex_to_nfa("(ab)*")))
+        assert calls == {**self.WANT, "image_nfa": 1}
