@@ -133,11 +133,16 @@ class Nfa:
 
 
 def _logical_lines(text: str) -> list[tuple[int, list[str]]]:
+    """(line number, tokens) of each non-blank line, in one pass over the
+    text; only a line that contains `#` has its comment cut off. The
+    machine, transducer and graph parsers each make exactly one call."""
     out = []
     for no, raw in enumerate(text.splitlines(), start=1):
-        body = raw.split("#", 1)[0].strip()
-        if body:
-            out.append((no, body.split()))
+        if "#" in raw:
+            raw = raw.partition("#")[0]
+        toks = raw.split()
+        if toks:
+            out.append((no, toks))
     return out
 
 
@@ -172,95 +177,127 @@ def _is_number(tok: str) -> bool:
     return tok.isascii() and tok.isdigit() and len(tok) <= _MAX_DIGITS
 
 
-def _parse_state_list(toks, no) -> list[int]:
-    out = []
+def _parse_state_list(toks, no) -> dict[str, int]:
+    """The `states` line as its numeral table: each declared state's
+    canonical numeral `str(q)` mapped to q. Later tokens look themselves
+    up here, so each state numeral is converted once."""
+    numerals = {}
     for tok in toks:
         if not _is_number(tok):
             raise FormatError(f"bad state id {tok!r}", no)
-        out.append(int(tok))
-    if len(set(out)) != len(out):
+        q = int(tok)
+        numerals[str(q)] = q
+    if len(numerals) != len(toks):
         raise FormatError("duplicate state id", no)
-    return out
+    return numerals
 
 
-def _parse_state(tok, states, no) -> int:
-    if not _is_number(tok) or int(tok) not in states:
-        raise FormatError(f"undeclared state {tok!r}", no)
-    return int(tok)
+def _parse_state(tok, numerals, no) -> int:
+    """The declared state `tok` names: a lookup in the numeral table, or,
+    for a numeral that is not canonical such as `007`, a conversion. The
+    transition loops inline the lookup and call this only on a miss."""
+    q = numerals.get(tok)
+    if q is None:
+        if not _is_number(tok) or str(int(tok)) not in numerals:
+            raise FormatError(f"undeclared state {tok!r}", no)
+        q = int(tok)
+    return q
 
 
 def parse_dfa(text: str) -> Dfa:
     """Parse the `dfa` text format; rejects duplicate (state, symbol) edges."""
-    lines = _logical_lines(text)
+    return _parse_dfa_lines(_logical_lines(text))
+
+
+def parse_nfa(text: str) -> Nfa:
+    return _parse_nfa_lines(_logical_lines(text))
+
+
+def _parse_dfa_lines(lines) -> Dfa:
     no, rest = _section(lines, 0, "dfa")
     if rest:
         raise FormatError("unexpected tokens after header", no)
-    alphabet, states, initials, accepting, i = _parse_common(lines)
+    alphabet, numerals, initials, accepting = _parse_common(lines)
     if len(initials) != 1:
         raise FormatError("a dfa needs exactly one initial state", lines[3][0])
+    symbols = set(alphabet)
     transitions: dict[tuple[int, str], int] = {}
-    for no, toks in lines[i:]:
+    for no, toks in lines[5:]:
         if toks[0] != "trans":
             raise FormatError(f"unexpected `{toks[0]}`", no)
         if len(toks) != 4:
             raise FormatError("want `trans <src> <symbol> <dst>`", no)
-        src = _parse_state(toks[1], states, no)
-        if toks[2] == "eps":
+        _, s, sym, d = toks
+        src = numerals.get(s)
+        if src is None:
+            src = _parse_state(s, numerals, no)
+        if sym == "eps":
             raise FormatError("eps transitions are not allowed in a dfa", no)
-        sym = toks[2]
-        if sym not in alphabet:
+        if sym not in symbols:
             raise FormatError(f"undeclared symbol {sym!r}", no)
-        dst = _parse_state(toks[3], states, no)
+        dst = numerals.get(d)
+        if dst is None:
+            dst = _parse_state(d, numerals, no)
         if (src, sym) in transitions:
             raise FormatError(f"duplicate transition from state {src} on {sym!r}", no)
         transitions[(src, sym)] = dst
-    return Dfa(alphabet, frozenset(states), initials[0], frozenset(accepting), transitions)
+    return Dfa(alphabet, frozenset(numerals.values()), initials[0], frozenset(accepting),
+               transitions)
 
 
-def parse_nfa(text: str) -> Nfa:
-    lines = _logical_lines(text)
+def _parse_nfa_lines(lines) -> Nfa:
     no, rest = _section(lines, 0, "nfa")
     if rest:
         raise FormatError("unexpected tokens after header", no)
-    alphabet, states, initials, accepting, i = _parse_common(lines)
+    alphabet, numerals, initials, accepting = _parse_common(lines)
+    symbols = set(alphabet)
     triples: list[tuple[int, str | None, int]] = []
-    for no, toks in lines[i:]:
+    for no, toks in lines[5:]:
         if toks[0] != "trans":
             raise FormatError(f"unexpected `{toks[0]}`", no)
         if len(toks) != 4:
             raise FormatError("want `trans <src> <symbol|eps> <dst>`", no)
-        src = _parse_state(toks[1], states, no)
-        sym: str | None = None if toks[2] == "eps" else toks[2]
-        if sym is not None and sym not in alphabet:
+        _, s, sym, d = toks
+        src = numerals.get(s)
+        if src is None:
+            src = _parse_state(s, numerals, no)
+        if sym == "eps":
+            sym = None
+        elif sym not in symbols:
             raise FormatError(f"undeclared symbol {sym!r}", no)
-        dst = _parse_state(toks[3], states, no)
+        dst = numerals.get(d)
+        if dst is None:
+            dst = _parse_state(d, numerals, no)
         triples.append((src, sym, dst))
-    return Nfa(alphabet, frozenset(states), frozenset(initials),
+    return Nfa(alphabet, frozenset(numerals.values()), frozenset(initials),
                frozenset(accepting), tuple(triples))
 
 
 def _parse_common(lines):
+    """alphabet, numeral table, initial list and accepting set: lines 1-4."""
     no, toks = _section(lines, 1, "alphabet")
     alphabet = _parse_alphabet(toks, no)
     no, toks = _section(lines, 2, "states")
-    states = set(_parse_state_list(toks, no))
+    numerals = _parse_state_list(toks, no)
     no, toks = _section(lines, 3, "initial")
-    initials = [_parse_state(t, states, no) for t in toks]
+    initials = [_parse_state(t, numerals, no) for t in toks]
     no, toks = _section(lines, 4, "accept")
-    accepting = {_parse_state(t, states, no) for t in toks}
-    return alphabet, states, initials, accepting, 5
+    accepting = {_parse_state(t, numerals, no) for t in toks}
+    return alphabet, numerals, initials, accepting
 
 
 def parse_automaton(text: str) -> Dfa | Nfa:
-    """Parse either machine format, dispatching on the header line."""
+    """Parse either machine format, dispatching on the header line. The
+    text is tokenized once and the state numerals converted once, on the
+    `states` line; every later state token is a lookup in that table."""
     lines = _logical_lines(text)
     if not lines:
         raise FormatError("empty input")
     head = lines[0][1][0]
     if head == "dfa":
-        return parse_dfa(text)
+        return _parse_dfa_lines(lines)
     if head == "nfa":
-        return parse_nfa(text)
+        return _parse_nfa_lines(lines)
     raise FormatError(f"unknown header `{head}`", lines[0][0])
 
 

@@ -167,15 +167,15 @@ def _shortest_cycle(d: Dfa, q: int, component) -> str:
     raise CertificateError("state in a cycle-bearing component has no cycle")
 
 
-def _cycle_nfa(d: Dfa, q: int, component) -> Nfa:
-    """All words looping at q while staying inside q's component."""
-    triples = tuple(
-        (src, sym, dst)
-        for (src, sym), dst in sorted(d.transitions.items())
+def _cycle_dfa(d: Dfa, q: int, component) -> Dfa:
+    """All words looping at q while staying inside q's component: the
+    component's own edges as a partial Dfa, started and accepted at q."""
+    transitions = {
+        (src, sym): dst
+        for (src, sym), dst in d.transitions.items()
         if src in component and dst in component
-    )
-    return Nfa(d.alphabet, frozenset(component), frozenset({q}),
-               frozenset({q}), triples)
+    }
+    return Dfa(d.alphabet, component, q, frozenset({q}), transitions)
 
 
 def _power_dfa(x: str, alphabet) -> Dfa:
@@ -210,7 +210,7 @@ def _find_witness(ft: Dfa, cond: Condensation) -> HardnessWitness | None:
     u0 = _shortest_cycle(ft, q, component)
     x = primitive_root(u0)
     v0 = inclusion_counterexample(_power_dfa(x, ft.alphabet),
-                                  _cycle_nfa(ft, q, component))
+                                  _cycle_dfa(ft, q, component))
     if v0 is None:
         raise CertificateError(f"branching component at state {q} has no cycle outside {x}*")
     cycle_a, cycle_b = normalize_witness(u0, v0)

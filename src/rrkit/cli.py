@@ -9,6 +9,7 @@ class does not fit the command, 4 alphabet mismatch.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .automata import (
@@ -166,7 +167,10 @@ def cmd_equiv(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: `main` may be called
+    repeatedly, and each call parses into a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="rrkit",
         description="Classify regular filters, build covering transducers, "

@@ -254,50 +254,56 @@ def parse_dfst(text: str) -> Dfst:
     no, toks = _section(lines, 2, "out_alphabet")
     out_alphabet = _parse_alphabet(toks, no)
     no, toks = _section(lines, 3, "states")
-    states = set(_parse_state_list(toks, no))
+    numerals = _parse_state_list(toks, no)
     no, toks = _section(lines, 4, "initial")
     if len(toks) != 1:
         raise FormatError("a dfst needs exactly one initial state", no)
-    initial = _parse_state(toks[0], states, no)
+    initial = _parse_state(toks[0], numerals, no)
     no, toks = _section(lines, 5, "accept")
-    accepting = {_parse_state(tok, states, no) for tok in toks}
+    accepting = {_parse_state(tok, numerals, no) for tok in toks}
 
+    in_symbols = set(in_alphabet)
+    out_symbols = set(out_alphabet)
     transitions: dict[tuple[int, str], tuple[str, int]] = {}
     final_output: dict[int, str] = {}
     for no, toks in lines[6:]:
         if toks[0] == "trans":
             if len(toks) != 5:
                 raise FormatError("want `trans <src> <in-symbol> <out-word|-> <dst>`", no)
-            src = _parse_state(toks[1], states, no)
-            if toks[2] == "eps":
+            _, s, sym, out, d = toks
+            src = numerals.get(s)
+            if src is None:
+                src = _parse_state(s, numerals, no)
+            if sym == "eps":
                 raise FormatError("a dfst consumes exactly one input symbol per transition", no)
-            sym = toks[2]
-            if sym not in in_alphabet:
+            if sym not in in_symbols:
                 raise FormatError(f"undeclared input symbol {sym!r}", no)
-            out = word_from_text(toks[3])
+            out = word_from_text(out)
             for c in out:
-                if c not in out_alphabet:
+                if c not in out_symbols:
                     raise FormatError(f"undeclared output symbol {c!r}", no)
-            dst = _parse_state(toks[4], states, no)
+            dst = numerals.get(d)
+            if dst is None:
+                dst = _parse_state(d, numerals, no)
             if (src, sym) in transitions:
                 raise FormatError(f"duplicate transition from state {src} on {sym!r}", no)
             transitions[(src, sym)] = (out, dst)
         elif toks[0] == "final":
             if len(toks) != 3:
                 raise FormatError("want `final <state> <out-word|->`", no)
-            q = _parse_state(toks[1], states, no)
+            q = _parse_state(toks[1], numerals, no)
             if q not in accepting:
                 raise FormatError(f"final output on non-accepting state {q}", no)
             if q in final_output:
                 raise FormatError(f"duplicate final output for state {q}", no)
             out = word_from_text(toks[2])
             for c in out:
-                if c not in out_alphabet:
+                if c not in out_symbols:
                     raise FormatError(f"undeclared output symbol {c!r}", no)
             final_output[q] = out
         else:
             raise FormatError(f"unexpected `{toks[0]}`", no)
-    return Dfst(in_alphabet, out_alphabet, frozenset(states), initial,
+    return Dfst(in_alphabet, out_alphabet, frozenset(numerals.values()), initial,
                 frozenset(accepting), transitions, final_output)
 
 

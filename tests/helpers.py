@@ -4,6 +4,7 @@ the library's constructions, so they can serve as cross-checks."""
 
 import itertools
 import random
+import sys
 
 from rrkit import (
     CertificateError,
@@ -39,7 +40,14 @@ from rrkit import (
     widen_dfa,
     widen_nfa,
 )
-from rrkit.automata import word_to_text
+from rrkit.automata import (
+    FormatError,
+    _is_number,
+    _parse_alphabet,
+    _section,
+    word_from_text,
+    word_to_text,
+)
 from rrkit.cover import _build_dispatch, plan_cover
 from rrkit.classify import (
     _easy_exprs,
@@ -615,3 +623,184 @@ def looped_chain(n) -> Dfa:
     trans = {(q, "a"): q for q in range(n)}
     trans.update({(q, "b"): q + 1 for q in range(n - 1)})
     return Dfa(("a", "b"), frozenset(range(n)), 0, frozenset({n - 1}), trans)
+
+
+# ---------------------------------------------------------------------------
+# reference parsers: the first versions, which tokenize the text once per
+# parser and convert every state token, kept as differential oracles
+
+
+def _oracle_logical_lines(text: str):
+    out = []
+    for no, raw in enumerate(text.splitlines(), start=1):
+        body = raw.split("#", 1)[0].strip()
+        if body:
+            out.append((no, body.split()))
+    return out
+
+
+def _oracle_parse_state_list(toks, no):
+    out = []
+    for tok in toks:
+        if not _is_number(tok):
+            raise FormatError(f"bad state id {tok!r}", no)
+        out.append(int(tok))
+    if len(set(out)) != len(out):
+        raise FormatError("duplicate state id", no)
+    return out
+
+
+def _oracle_parse_state(tok, states, no):
+    if not _is_number(tok) or int(tok) not in states:
+        raise FormatError(f"undeclared state {tok!r}", no)
+    return int(tok)
+
+
+def _oracle_parse_common(lines):
+    no, toks = _section(lines, 1, "alphabet")
+    alphabet = _parse_alphabet(toks, no)
+    no, toks = _section(lines, 2, "states")
+    states = set(_oracle_parse_state_list(toks, no))
+    no, toks = _section(lines, 3, "initial")
+    initials = [_oracle_parse_state(t, states, no) for t in toks]
+    no, toks = _section(lines, 4, "accept")
+    accepting = {_oracle_parse_state(t, states, no) for t in toks}
+    return alphabet, states, initials, accepting, 5
+
+
+def oracle_parse_dfa(text: str) -> Dfa:
+    lines = _oracle_logical_lines(text)
+    no, rest = _section(lines, 0, "dfa")
+    if rest:
+        raise FormatError("unexpected tokens after header", no)
+    alphabet, states, initials, accepting, i = _oracle_parse_common(lines)
+    if len(initials) != 1:
+        raise FormatError("a dfa needs exactly one initial state", lines[3][0])
+    transitions = {}
+    for no, toks in lines[i:]:
+        if toks[0] != "trans":
+            raise FormatError(f"unexpected `{toks[0]}`", no)
+        if len(toks) != 4:
+            raise FormatError("want `trans <src> <symbol> <dst>`", no)
+        src = _oracle_parse_state(toks[1], states, no)
+        if toks[2] == "eps":
+            raise FormatError("eps transitions are not allowed in a dfa", no)
+        sym = toks[2]
+        if sym not in alphabet:
+            raise FormatError(f"undeclared symbol {sym!r}", no)
+        dst = _oracle_parse_state(toks[3], states, no)
+        if (src, sym) in transitions:
+            raise FormatError(f"duplicate transition from state {src} on {sym!r}", no)
+        transitions[(src, sym)] = dst
+    return Dfa(alphabet, frozenset(states), initials[0], frozenset(accepting), transitions)
+
+
+def oracle_parse_nfa(text: str) -> Nfa:
+    lines = _oracle_logical_lines(text)
+    no, rest = _section(lines, 0, "nfa")
+    if rest:
+        raise FormatError("unexpected tokens after header", no)
+    alphabet, states, initials, accepting, i = _oracle_parse_common(lines)
+    triples = []
+    for no, toks in lines[i:]:
+        if toks[0] != "trans":
+            raise FormatError(f"unexpected `{toks[0]}`", no)
+        if len(toks) != 4:
+            raise FormatError("want `trans <src> <symbol|eps> <dst>`", no)
+        src = _oracle_parse_state(toks[1], states, no)
+        sym = None if toks[2] == "eps" else toks[2]
+        if sym is not None and sym not in alphabet:
+            raise FormatError(f"undeclared symbol {sym!r}", no)
+        dst = _oracle_parse_state(toks[3], states, no)
+        triples.append((src, sym, dst))
+    return Nfa(alphabet, frozenset(states), frozenset(initials),
+               frozenset(accepting), tuple(triples))
+
+
+def oracle_parse_automaton(text: str):
+    """Tokenizes the header, then the whole text again in the parser it
+    dispatches to."""
+    lines = _oracle_logical_lines(text)
+    if not lines:
+        raise FormatError("empty input")
+    head = lines[0][1][0]
+    if head == "dfa":
+        return oracle_parse_dfa(text)
+    if head == "nfa":
+        return oracle_parse_nfa(text)
+    raise FormatError(f"unknown header `{head}`", lines[0][0])
+
+
+def oracle_parse_dfst(text: str) -> Dfst:
+    lines = _oracle_logical_lines(text)
+    no, rest = _section(lines, 0, "dfst")
+    if rest:
+        raise FormatError("unexpected tokens after header", no)
+    no, toks = _section(lines, 1, "in_alphabet")
+    in_alphabet = _parse_alphabet(toks, no)
+    no, toks = _section(lines, 2, "out_alphabet")
+    out_alphabet = _parse_alphabet(toks, no)
+    no, toks = _section(lines, 3, "states")
+    states = set(_oracle_parse_state_list(toks, no))
+    no, toks = _section(lines, 4, "initial")
+    if len(toks) != 1:
+        raise FormatError("a dfst needs exactly one initial state", no)
+    initial = _oracle_parse_state(toks[0], states, no)
+    no, toks = _section(lines, 5, "accept")
+    accepting = {_oracle_parse_state(tok, states, no) for tok in toks}
+    transitions = {}
+    final_output = {}
+    for no, toks in lines[6:]:
+        if toks[0] == "trans":
+            if len(toks) != 5:
+                raise FormatError("want `trans <src> <in-symbol> <out-word|-> <dst>`", no)
+            src = _oracle_parse_state(toks[1], states, no)
+            if toks[2] == "eps":
+                raise FormatError("a dfst consumes exactly one input symbol per transition", no)
+            sym = toks[2]
+            if sym not in in_alphabet:
+                raise FormatError(f"undeclared input symbol {sym!r}", no)
+            out = word_from_text(toks[3])
+            for c in out:
+                if c not in out_alphabet:
+                    raise FormatError(f"undeclared output symbol {c!r}", no)
+            dst = _oracle_parse_state(toks[4], states, no)
+            if (src, sym) in transitions:
+                raise FormatError(f"duplicate transition from state {src} on {sym!r}", no)
+            transitions[(src, sym)] = (out, dst)
+        elif toks[0] == "final":
+            if len(toks) != 3:
+                raise FormatError("want `final <state> <out-word|->`", no)
+            q = _oracle_parse_state(toks[1], states, no)
+            if q not in accepting:
+                raise FormatError(f"final output on non-accepting state {q}", no)
+            if q in final_output:
+                raise FormatError(f"duplicate final output for state {q}", no)
+            out = word_from_text(toks[2])
+            for c in out:
+                if c not in out_alphabet:
+                    raise FormatError(f"undeclared output symbol {c!r}", no)
+            final_output[q] = out
+        else:
+            raise FormatError(f"unexpected `{toks[0]}`", no)
+    return Dfst(in_alphabet, out_alphabet, frozenset(states), initial,
+                frozenset(accepting), transitions, final_output)
+
+
+def count_calls(monkeypatch, names) -> dict:
+    """Count calls of each function in `names` under every binding an
+    `rrkit` module holds for it; returns the live counts."""
+    counts = dict.fromkeys(names, 0)
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    modules = [m for key, m in sys.modules.items() if key == "rrkit" or key.startswith("rrkit.")]
+    for module in modules:
+        for name in names:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    return counts

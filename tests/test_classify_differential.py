@@ -11,6 +11,7 @@ import pytest
 
 import rrkit
 from helpers import (
+    count_calls,
     diamond_filter,
     enumerate_dfas,
     oracle_classification_text,
@@ -27,12 +28,14 @@ from rrkit import (
     classification_to_text,
     classify,
     condense,
+    dfa_to_text,
     parse_dfa,
     trim,
     universal_dfa,
     verify_easy,
 )
 from rrkit.classify import _forced_ring, _shortest_cycle
+from rrkit.cli import main
 
 # the package re-exports the function `classify` under the module's name
 classify_module = importlib.import_module("rrkit.classify")
@@ -246,6 +249,26 @@ class TestClassifyBuildsOnce:
         f = make()
         assert isinstance(classify(f), kind)
         assert calls == {"trim": 1, "condense": 1}
+
+
+class TestHardPathWalksDfas:
+    """The witness check compares two Dfas, so a hard `classify` and a
+    `cover` step no subsets."""
+
+    HARD_TEXT = dfa_to_text(planted_hard_filter(random.Random(181), 150))
+    TARGET_TEXT = "dfa\nalphabet a b c\nstates 0 1\ninitial 0\naccept 0\ntrans 0 a 1\ntrans 1 c 0\n"
+
+    @pytest.mark.parametrize("command", ["classify", "cover"])
+    def test_no_subset_steps(self, command, monkeypatch, tmp_path, capsys):
+        calls = count_calls(monkeypatch, ["_subset_step", "inclusion_counterexample"])
+        (tmp_path / "f.txt").write_text(self.HARD_TEXT)
+        (tmp_path / "r.txt").write_text(self.TARGET_TEXT)
+        argv = [command, str(tmp_path / "f.txt")]
+        if command == "cover":
+            argv.append(str(tmp_path / "r.txt"))
+        assert main(argv) == 0
+        assert capsys.readouterr().out.startswith("HARD" if command == "classify" else "dfst")
+        assert calls == {"_subset_step": 0, "inclusion_counterexample": 1}
 
 
 class TestNoLibraryAsserts:

@@ -1,0 +1,295 @@
+"""The front end reads each input once: the parsers against the reference
+parsers in helpers on valid and mutated texts, one tokenizing pass per
+parse, and `cli.main` on one shared argument parser, called repeatedly in
+one process."""
+
+import contextlib
+import io
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from helpers import (
+    count_calls,
+    oracle_parse_automaton,
+    oracle_parse_dfa,
+    oracle_parse_dfst,
+    oracle_parse_nfa,
+    planted_hard_filter,
+    ring_filter,
+)
+from rrkit import (
+    Dfst,
+    FormatError,
+    dfa_to_text,
+    parse_automaton,
+    parse_dfa,
+    parse_dfst,
+    parse_nfa,
+)
+from rrkit.cli import build_parser, main
+
+PROPERTY = settings(derandomize=True, max_examples=400, deadline=None)
+
+# ---------------------------------------------------------------------------
+# differential parsers
+
+PARSERS = {
+    "automaton": (parse_automaton, oracle_parse_automaton),
+    "dfa": (parse_dfa, oracle_parse_dfa),
+    "nfa": (parse_nfa, oracle_parse_nfa),
+    "dfst": (parse_dfst, oracle_parse_dfst),
+}
+
+# a numeral that replaces a state id: non-canonical and undeclared
+# numerals, Unicode digits, a number one digit longer than `int` converts
+MUTANT_NUMERALS = ["07", "00", "007", "0", "1", "12", "99", "²", "٣", "1" * 4301, "x", "-"]
+# a token that replaces any other: those, `eps`, keywords out of place, a
+# two-letter symbol
+MUTANT_TOKENS = MUTANT_NUMERALS + ["eps", "ab", "a", "trans", "final", "states", "dfa"]
+
+
+@st.composite
+def machine_lines(draw, kinds=("dfa", "nfa", "dfst")):
+    """A valid machine in one of the formats `kinds`, as token lists, with
+    sparse state ids; now and then a dfa or dfst has an `eps` edge."""
+    kind = draw(st.sampled_from(kinds))
+    ids = draw(st.lists(st.integers(0, 12), min_size=1, max_size=5, unique=True))
+    states = [str(q) for q in ids]
+    alphabet = draw(st.lists(st.sampled_from("abc"), min_size=1, max_size=3, unique=True))
+    lines = [[kind]]
+    if kind == "dfst":
+        out_alphabet = draw(st.lists(st.sampled_from("abc"), max_size=3, unique=True))
+        lines += [["in_alphabet", *alphabet], ["out_alphabet", *out_alphabet]]
+    else:
+        lines.append(["alphabet", *alphabet])
+    lines.append(["states", *states])
+    count = min(draw(st.integers(0, 2)), len(states)) if kind == "nfa" else 1
+    lines.append(["initial", *draw(st.lists(st.sampled_from(states), min_size=count,
+                                            max_size=count, unique=True))])
+    accepting = draw(st.lists(st.sampled_from(states), max_size=3, unique=True))
+    lines.append(["accept", *accepting])
+    # `eps` is an error in a dfa or dfst; drawn there now and then
+    symbols = alphabet + ["eps"] if kind == "nfa" or draw(st.integers(0, 3)) == 0 else alphabet
+    used = set()
+    for _ in range(draw(st.integers(0, 6))):
+        src, dst = draw(st.sampled_from(states)), draw(st.sampled_from(states))
+        sym = draw(st.sampled_from(symbols))
+        if kind != "nfa" and (src, sym) in used:
+            continue
+        used.add((src, sym))
+        if kind == "dfst":
+            out = "".join(draw(st.lists(st.sampled_from(out_alphabet), max_size=2))) \
+                if out_alphabet else ""
+            lines.append(["trans", src, sym, out or "-", dst])
+        else:
+            lines.append(["trans", src, sym, dst])
+    if kind == "dfst":
+        for q in accepting:
+            if draw(st.booleans()):
+                lines.append(["final", q, draw(st.sampled_from(["-", *out_alphabet]))])
+    return lines
+
+
+@st.composite
+def machine_text(draw, kinds=("dfa", "nfa", "dfst")):
+    """A valid machine text, or one with a few token- or line-level
+    mutations, with LF or CRLF endings."""
+    lines = draw(machine_lines(kinds))
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2, 3]))):
+        k = draw(st.integers(0, len(lines) - 1))
+        line = lines[k]
+        numerals = [(i, j) for i, toks in enumerate(lines)
+                    for j, tok in enumerate(toks) if tok.isdigit()]
+        op = draw(st.sampled_from(["token", "numeral", "pad", "duplicate", "delete",
+                                   "comment", "glued-comment", "blank", "extra-token"]))
+        if op == "token" and line:
+            line[draw(st.integers(0, len(line) - 1))] = draw(st.sampled_from(MUTANT_TOKENS))
+        elif op in ("numeral", "pad") and numerals:
+            i, j = draw(st.sampled_from(numerals))
+            lines[i][j] = ("0" + lines[i][j] if op == "pad"
+                           else draw(st.sampled_from(MUTANT_NUMERALS)))
+        elif op == "duplicate":
+            lines.insert(k, list(line))
+        elif op == "delete" and len(lines) > 1:
+            del lines[k]
+        elif op == "comment":
+            line += ["#", draw(st.sampled_from(["note", "trans 0 a 0", "#"]))]
+        elif op == "glued-comment" and line:
+            line[-1] += "#" + draw(st.sampled_from(["", "x", "0"]))
+        elif op == "blank":
+            lines.insert(k, draw(st.sampled_from([[], ["#", "comment"], ["#"]])))
+        elif op == "extra-token":
+            line.append(draw(st.sampled_from(MUTANT_TOKENS)))
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    return eol.join(" ".join(line) for line in lines) + draw(st.sampled_from(["", eol]))
+
+
+def parsed(parse, text):
+    """The machine's fields, or the FormatError's message and line."""
+    try:
+        m = parse(text)
+    except FormatError as exc:
+        return ("error", str(exc), exc.line)
+    if isinstance(m, Dfst):
+        return ("dfst", m.in_alphabet, m.out_alphabet, m.states, m.initial, m.accepting,
+                m.transitions, m.final_output)
+    return (type(m).__name__, m.alphabet, m.states, m.initial, m.accepting, m.transitions)
+
+
+class TestParsersMatchOracles:
+    @PROPERTY
+    @given(text=machine_text())
+    def test_same_fields_or_same_error(self, text):
+        for parse, oracle in PARSERS.values():
+            assert parsed(parse, text) == parsed(oracle, text)
+
+    @pytest.mark.parametrize("text, want", [
+        # non-canonical numerals name the same declared states
+        ("dfa\nalphabet a\nstates 007 1\ninitial 7\naccept 01\ntrans 07 a 0001\n",
+         ("Dfa", ("a",), frozenset({7, 1}), 7, frozenset({1}), {(7, "a"): 1})),
+        ("dfa\nalphabet a\nstates 0 1\ninitial 0\naccept 1\ntrans 0 a 2 # to 2\n",
+         ("error", "line 6: undeclared state '2'", 6)),
+        ("nfa\r\nalphabet a\r\nstates 0\r\ninitial 0\r\naccept\r\ntrans 0 eps 00\r\n",
+         ("Nfa", ("a",), frozenset({0}), frozenset({0}), frozenset(), ((0, None, 0),))),
+        ("dfa\nalphabet a\nstates 0 00\ninitial 0\naccept\n",
+         ("error", "line 3: duplicate state id", 3)),
+        ("dfa\nalphabet a\nstates 0 ٣\ninitial 0\naccept\n",
+         ("error", "line 3: bad state id '٣'", 3)),
+    ])
+    def test_pinned(self, text, want):
+        assert parsed(parse_automaton, text) == want == parsed(oracle_parse_automaton, text)
+
+
+@pytest.mark.parametrize("parse, text", [
+    (parse_automaton, dfa_to_text(ring_filter(random.Random(3), 30, 2))),
+    (parse_automaton, "nfa\nalphabet a\nstates 0 1\ninitial 0 1\naccept 1\ntrans 0 eps 1\n"),
+    (parse_dfa, dfa_to_text(ring_filter(random.Random(3), 30, 2))),
+    (parse_nfa, "nfa\nalphabet a\nstates 0\ninitial 0\naccept 0\n"),
+    (parse_dfst, "dfst\nin_alphabet a\nout_alphabet a\nstates 0\ninitial 0\naccept 0\n"
+                 "trans 0 a a 0\nfinal 0 a\n"),
+], ids=["automaton-dfa", "automaton-nfa", "dfa", "nfa", "dfst"])
+def test_one_tokenizing_pass_per_parse(parse, text, monkeypatch):
+    calls = count_calls(monkeypatch, ["_logical_lines"])
+    parse(text)
+    assert calls == {"_logical_lines": 1}
+
+
+# ---------------------------------------------------------------------------
+# the CLI exits only with a documented code
+
+# {a} and {b} name machine files, {t} and {u} transducer files, {r} a
+# pattern and {g} a graph
+ARGV = {
+    "classify": [["classify", "{a}"], ["classify", "--regex", "{r}"]],
+    "cover": [["cover", "{a}", "{b}"], ["cover", "--regex", "{r}", "{b}"]],
+    "solve": [["solve", "{a}", "{b}"], ["solve", "--nfa", "{a}", "{b}"],
+              ["solve", "--counters", "{a}", "{b}"], ["solve", "--regex", "{r}", "{b}"]],
+    "reduce": [["reduce", "{t}", "{a}"]],
+    "gadget": [["gadget", "{g}", "--word", "ab"], ["gadget", "{g}", "--word", "-"]],
+    "compose": [["compose", "{t}", "{u}"]],
+    "image": [["image", "{t}", "{a}"]],
+    "equiv": [["equiv", "{a}", "{b}"]],
+}
+
+
+@st.composite
+def file_text(draw, kinds):
+    """Mostly a machine text of one of `kinds`, valid or mutated; now and
+    then arbitrary text."""
+    if draw(st.integers(0, 4)) == 0:
+        return draw(st.text(min_size=1, max_size=40))
+    return draw(machine_text(kinds))
+
+
+@st.composite
+def graph_text(draw):
+    nodes = draw(st.integers(1, 4))
+    node = st.integers(0, nodes - 1).map(str)
+    lines = [["graph"], ["nodes", str(nodes)], ["source", draw(node)], ["target", draw(node)]]
+    for _ in range(draw(st.integers(0, 4))):
+        lines.append(["edge", draw(node), draw(node)])
+    if draw(st.integers(0, 2)) == 0:
+        k = draw(st.integers(0, len(lines) - 1))
+        lines[k][-1] = draw(st.sampled_from(MUTANT_TOKENS))
+    return "\n".join(" ".join(line) for line in lines) + "\n"
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    return tmp_path_factory.mktemp("cli-property")
+
+
+@pytest.mark.parametrize("command", ARGV)
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(data=st.data())
+def test_cli_exits_with_a_documented_code(command, workdir, data):
+    machines, transducers = file_text(("dfa", "nfa")), file_text(("dfst",))
+    texts = {
+        "a": data.draw(machines, label="a"),
+        "b": data.draw(machines, label="b"),
+        "t": data.draw(transducers, label="t"),
+        "u": data.draw(transducers, label="u"),
+        "r": data.draw(st.text(alphabet="ab()|*", max_size=12), label="regex"),
+        "g": data.draw(graph_text(), label="graph"),
+    }
+    paths = {}
+    for key, text in texts.items():
+        path = workdir / f"{command}-{key}.txt"
+        path.write_text(text, encoding="utf-8", newline="")
+        paths[key] = str(path)
+    argv = [arg.format(**paths) for arg in data.draw(st.sampled_from(ARGV[command]), label="argv")]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert main(argv) in (0, 2, 3, 4)
+
+
+# ---------------------------------------------------------------------------
+# one argument parser per process: no call sees another's arguments
+
+HARD_TEXT = dfa_to_text(planted_hard_filter(random.Random(11), 40))
+EASY_TEXT = dfa_to_text(ring_filter(random.Random(13), 12, 2))
+TARGET_TEXT = "dfa\nalphabet a b\nstates 0 1\ninitial 0\naccept 0\ntrans 0 a 1\ntrans 1 b 0\n"
+INPUT_TEXT = "dfa\nalphabet a b\nstates 0\ninitial 0\naccept 0\ntrans 0 a 0\ntrans 0 b 0\n"
+
+
+def _call(argv, out_path):
+    """Exit code (or SystemExit code), stdout, stderr and the file written
+    by `--out` of one call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = ("SystemExit", exc.code)
+    written = out_path.read_text() if "--out" in argv else None
+    return code, out.getvalue(), err.getvalue(), written
+
+
+def test_shared_parser_keeps_calls_apart(tmp_path):
+    p = {}
+    for name, text in (("hard", HARD_TEXT), ("easy", EASY_TEXT), ("target", TARGET_TEXT),
+                       ("input", INPUT_TEXT), ("regex", "(a|b)*\n")):
+        (tmp_path / f"{name}.txt").write_text(text)
+        p[name] = str(tmp_path / f"{name}.txt")
+    out_path = tmp_path / "out.txt"
+    calls = [
+        ["classify", "--out", str(out_path), p["hard"]], ["classify", p["hard"]],
+        ["solve", "--counters", p["easy"], p["input"]], ["solve", p["easy"], p["input"]],
+        ["solve", p["input"]],  # usage error: argparse exits with 2
+        ["solve", "--nfa", p["easy"], p["input"]], ["solve", p["easy"], p["input"]],
+        ["cover", "--regex", p["regex"], p["target"]], ["cover", p["hard"], p["target"]],
+    ]
+    build_parser.cache_clear()
+    shared = [_call(argv, out_path) for argv in calls]
+    assert build_parser.cache_info().misses == 1
+    codes = [result[0] for result in shared]
+    assert codes == [0, 0, 0, 0, ("SystemExit", 2), 0, 0, 0, 0]
+    assert shared[0][1] == "" and shared[0][3] == shared[1][1]
+
+    fresh = []
+    for argv in calls:
+        build_parser.cache_clear()
+        fresh.append(_call(argv, out_path))
+    assert shared == fresh

@@ -6,13 +6,18 @@ printed text does not depend on how a machine numbers its states, and the
 call counts that one CLI op renumbers only what it prints."""
 
 import random
-import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import diamond_filter, oracle_dfst_to_text, planted_hard_filter, ring_filter
+from helpers import (
+    count_calls,
+    diamond_filter,
+    oracle_dfst_to_text,
+    planted_hard_filter,
+    ring_filter,
+)
 from rrkit import (
     Dfa,
     Dfst,
@@ -153,20 +158,7 @@ FILTERS = {
 @pytest.fixture
 def canonical_calls(monkeypatch):
     """Calls of each `canonical_*`, counted under every `rrkit` binding."""
-    counts = dict.fromkeys(CANONICAL, 0)
-
-    def counting(name, fn):
-        def wrapper(*args, **kwargs):
-            counts[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
-
-    modules = [m for key, m in sys.modules.items() if key == "rrkit" or key.startswith("rrkit.")]
-    for module in modules:
-        for name in CANONICAL:
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
-    return counts
+    return count_calls(monkeypatch, CANONICAL)
 
 
 def _run(tmp_path, capsys, command, *texts):
