@@ -756,28 +756,6 @@ def equivalent(a: Nfa, b: Nfa) -> bool:
     return separating_word(a, b) is None
 
 
-def nfa_union(parts, alphabet) -> Nfa:
-    """Union via a fresh initial state with epsilon edges into each part."""
-    alphabet = tuple(alphabet)
-    states = {0}
-    initial = {0}
-    accepting: set[int] = set()
-    triples: list[tuple[int, str | None, int]] = []
-    base = 1
-    for part in parts:
-        if not set(part.alphabet) <= set(alphabet):
-            raise AlphabetError("union part uses symbols outside the target alphabet")
-        remap = {q: base + k for k, q in enumerate(sorted(part.states))}
-        base += len(remap)
-        states.update(remap.values())
-        for q in sorted(part.initial):
-            triples.append((0, EPS, remap[q]))
-        accepting.update(remap[q] for q in part.accepting)
-        triples.extend((remap[q], sym, remap[t]) for q, sym, t in part.transitions)
-    return Nfa(alphabet, frozenset(states), frozenset(initial),
-               frozenset(accepting), tuple(triples))
-
-
 # ---------------------------------------------------------------------------
 # regular expressions (literals, concatenation, |, *, parentheses)
 

@@ -45,7 +45,6 @@ from .automata import (
     _is_number,
     condense,
     inclusion_counterexample,
-    nfa_union,
     separating_word,
     trim,
     word_from_text,
@@ -364,50 +363,58 @@ def _embeds(factors, words) -> bool:
     return True
 
 
-def expr_to_nfa(e: BoundedExpr, alphabet) -> Nfa:
-    """Recognizer of a bounded expression's language: a chain reading the
-    prefix, then per block a loop reading x hung on the chain's current
-    state and the chain reading y. A loop never shares its state with the
-    previous block's loop (that would read (x1|x2)* for x1* x2*): after an
-    empty bridge the chain first steps to a fresh state by an epsilon edge."""
+def bounded_nfa(exprs, alphabet) -> Nfa:
+    """Recognizer of a union of bounded expressions: one trie over their
+    tokens, which are the prefix letters, then per block a loop and its
+    bridge letters. A letter is an edge to a child state; a loop is an
+    epsilon edge to a fresh child state that carries a cycle reading the
+    loop word, so no state carries two loops (x1* x2* is not (x1|x2)*).
+    Expressions that share a token prefix share its states, and the state
+    where an expression's tokens end accepts."""
     alphabet = tuple(alphabet)
     alpha = set(alphabet)
-    for word in [e.prefix, *(w for block in e.blocks for w in block)]:
-        for c in word:
-            if c not in alpha:
-                raise AlphabetError(f"symbol {c!r} not in the alphabet")
     triples: list[tuple[int, str | None, int]] = []
-    count = 0
-
-    def fresh() -> int:
-        nonlocal count
-        count += 1
-        return count - 1
-
-    def chain(src: int, word: str) -> int:
-        for c in word:
-            nxt = fresh()
-            triples.append((src, c, nxt))
-            src = nxt
-        return src
-
-    cur = fresh()
-    start = cur
-    cur = chain(cur, e.prefix)
-    looped = None  # the state carrying the last loop
-    for loop, bridge in e.blocks:
-        if not loop:
-            raise ValueError("loop word of a bounded expression must be nonempty")
-        if cur == looped:
-            nxt = fresh()
-            triples.append((cur, EPS, nxt))
+    child: dict[tuple[int, str | tuple[str]], int] = {}
+    accepting: set[int] = set()
+    count = 1
+    for e in exprs:
+        for word in [e.prefix, *(w for block in e.blocks for w in block)]:
+            for c in word:
+                if c not in alpha:
+                    raise AlphabetError(f"symbol {c!r} not in the alphabet")
+        # a loop token is a 1-tuple, so the loop `a` and the letter `a` differ
+        tokens: list[str | tuple[str]] = list(e.prefix)
+        for loop, bridge in e.blocks:
+            if not loop:
+                raise ValueError("loop word of a bounded expression must be nonempty")
+            tokens.append((loop,))
+            tokens.extend(bridge)
+        cur = 0
+        for token in tokens:
+            nxt = child.get((cur, token))
+            if nxt is None:
+                nxt = child[cur, token] = count
+                count += 1
+                if isinstance(token, str):
+                    triples.append((cur, token, nxt))
+                else:
+                    triples.append((cur, EPS, nxt))
+                    back = nxt
+                    for c in token[0][:-1]:
+                        triples.append((back, c, count))
+                        back = count
+                        count += 1
+                    triples.append((back, token[0][-1], nxt))
             cur = nxt
-        back = chain(cur, loop[:-1])
-        triples.append((back, loop[-1], cur))
-        looped = cur
-        cur = chain(cur, bridge)
-    return Nfa(alphabet, frozenset(range(count)), frozenset({start}),
-               frozenset({cur}), tuple(triples))
+        accepting.add(cur)
+    return Nfa(alphabet, frozenset(range(count)), frozenset({0}),
+               frozenset(accepting), tuple(triples))
+
+
+def expr_to_nfa(e: BoundedExpr, alphabet) -> Nfa:
+    """Recognizer of one bounded expression's language: `bounded_nfa` of
+    the expression alone, a chain with each loop on its own state."""
+    return bounded_nfa((e,), alphabet)
 
 
 def verify_easy(f: Dfa, decomposition, envelope) -> None:
@@ -415,24 +422,24 @@ def verify_easy(f: Dfa, decomposition, envelope) -> None:
     filter's language and the envelope's star product must include it.
     A decomposition with an empty loop word is rejected first.
 
-    Equality is decided by `separating_word`. Given it, the inclusion
-    L(f) ⊆ w1* ... wn* follows when each expression's factors (prefix
-    letters, then per block the loop word and the bridge letters) embed in
-    order into the envelope: a factor may go to any word w it is a positive
-    power of, since w* then holds every power of the factor, and the
-    envelope index never moves backwards. Envelopes built by `classify`
-    always embed. Only when some expression does not is the inclusion
-    decided exactly, by a pair search over the filter and the star product's
-    recognizer (`expr_to_nfa` of the envelope words as loops with empty
-    bridges); the shortest filter word it misses is then reported.
+    Equality is decided by one `separating_word` against the decomposition's
+    `bounded_nfa`. Given it, the inclusion L(f) ⊆ w1* ... wn* follows when
+    each expression's factors (prefix letters, then per block the loop word
+    and the bridge letters) embed in order into the envelope: a factor may
+    go to any word w it is a positive power of, since w* then holds every
+    power of the factor, and the envelope index never moves backwards.
+    Envelopes built by `classify` always embed. Only when some expression
+    does not is the inclusion decided exactly, by a pair search over the
+    filter and the star product's recognizer (`expr_to_nfa` of the envelope
+    words as loops with empty bridges); the shortest filter word it misses
+    is then reported.
     """
     for e in decomposition:
         for loop, _ in e.blocks:
             if not loop:
                 raise CertificateError("decomposition contains an empty loop word")
     alphabet = f.alphabet
-    union = nfa_union([expr_to_nfa(e, alphabet) for e in decomposition], alphabet)
-    gap = separating_word(union, f)
+    gap = separating_word(bounded_nfa(decomposition, alphabet), f)
     if gap is not None:
         raise CertificateError(
             f"decomposition differs from the filter on {word_to_text(gap)!r}")

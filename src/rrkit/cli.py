@@ -2,8 +2,9 @@
 
 Subcommands: classify, cover, solve, reduce, gadget, compose, image,
 equiv. All I/O uses the line-based text formats of the library; the empty
-word prints as `-`. Exit codes: 0 success, 2 parse error, 3 the filter's
-class does not fit the command, 4 alphabet mismatch.
+word prints as `-`. Exit codes: 0 success, 2 parse error or a file that
+cannot be read or written, 3 the filter's class does not fit the command,
+4 alphabet mismatch.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from .automata import (
     Dfa,
     FormatError,
     Nfa,
+    _check_symbol,
     determinize,
     dfa_to_text,
     nfa_to_text,
@@ -49,6 +51,8 @@ def _read(path: str) -> str:
             return handle.read()
     except OSError as exc:
         raise FormatError(f"cannot read {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"cannot read {path}: not UTF-8 text") from exc
 
 
 def _load_machine(path: str, as_regex: bool) -> Dfa | Nfa:
@@ -65,9 +69,12 @@ def _as_dfa(machine: Dfa | Nfa) -> Dfa:
 def _emit(text: str, out_path: str | None) -> None:
     if out_path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out_path, "w", encoding="utf-8") as handle:
             handle.write(text)
+    except OSError as exc:
+        raise FormatError(f"cannot write {out_path}: {exc.strerror}") from exc
 
 
 def _certificate_lines(verdict) -> str:
@@ -138,6 +145,8 @@ def cmd_reduce(args) -> int:
 def cmd_gadget(args) -> int:
     graph = parse_digraph(_read(args.graph))
     word = "" if args.word == "-" else args.word
+    for sym in word:
+        _check_symbol(sym)
     alphabet = tuple(sorted(set(word)))
     _emit(nfa_to_text(reachability_gadget(graph, word, alphabet)), args.out)
     return EXIT_OK

@@ -7,6 +7,9 @@ import random
 import sys
 
 from rrkit import (
+    EPS,
+    AlphabetError,
+    BoundedExpr,
     CertificateError,
     ClassificationMismatch,
     Dfa,
@@ -22,11 +25,9 @@ from rrkit import (
     compose_dfst,
     condense,
     determinize,
-    expr_to_nfa,
     identity_transducer,
     image_nfa,
     merge_alphabets,
-    nfa_union,
     normalize_witness,
     primitive_root,
     product_intersect,
@@ -407,12 +408,85 @@ def _oracle_star_product_nfa(words, alphabet) -> Nfa:
     return canonical_nfa(raw)
 
 
+def nfa_union(parts, alphabet) -> Nfa:
+    """Union via a fresh initial state with epsilon edges into each part."""
+    alphabet = tuple(alphabet)
+    states = {0}
+    initial = {0}
+    accepting: set[int] = set()
+    triples: list[tuple[int, str | None, int]] = []
+    base = 1
+    for part in parts:
+        if not set(part.alphabet) <= set(alphabet):
+            raise AlphabetError("union part uses symbols outside the target alphabet")
+        remap = {q: base + k for k, q in enumerate(sorted(part.states))}
+        base += len(remap)
+        states.update(remap.values())
+        for q in sorted(part.initial):
+            triples.append((0, EPS, remap[q]))
+        accepting.update(remap[q] for q in part.accepting)
+        triples.extend((remap[q], sym, remap[t]) for q, sym, t in part.transitions)
+    return Nfa(alphabet, frozenset(states), frozenset(initial),
+               frozenset(accepting), tuple(triples))
+
+
+def oracle_expr_to_nfa(e: BoundedExpr, alphabet) -> Nfa:
+    """Recognizer of one bounded expression, built on its own: a chain
+    reading the prefix, then per block a loop reading x hung on the chain's
+    current state and the chain reading y. After an empty bridge the chain
+    first steps to a fresh state by an epsilon edge, so that two loops never
+    share a state."""
+    alphabet = tuple(alphabet)
+    alpha = set(alphabet)
+    for word in [e.prefix, *(w for block in e.blocks for w in block)]:
+        for c in word:
+            if c not in alpha:
+                raise AlphabetError(f"symbol {c!r} not in the alphabet")
+    triples: list[tuple[int, str | None, int]] = []
+    count = 0
+
+    def fresh() -> int:
+        nonlocal count
+        count += 1
+        return count - 1
+
+    def chain(src: int, word: str) -> int:
+        for c in word:
+            nxt = fresh()
+            triples.append((src, c, nxt))
+            src = nxt
+        return src
+
+    cur = fresh()
+    start = cur
+    cur = chain(cur, e.prefix)
+    looped = None  # the state carrying the last loop
+    for loop, bridge in e.blocks:
+        if not loop:
+            raise ValueError("loop word of a bounded expression must be nonempty")
+        if cur == looped:
+            nxt = fresh()
+            triples.append((cur, EPS, nxt))
+            cur = nxt
+        back = chain(cur, loop[:-1])
+        triples.append((back, loop[-1], cur))
+        looped = cur
+        cur = chain(cur, bridge)
+    return Nfa(alphabet, frozenset(range(count)), frozenset({start}),
+               frozenset({cur}), tuple(triples))
+
+
+def oracle_union_nfa(decomposition, alphabet) -> Nfa:
+    """The decomposition's recognizer built apart from `bounded_nfa`: the
+    union of one chain per expression, sharing no states."""
+    return nfa_union([oracle_expr_to_nfa(e, alphabet) for e in decomposition], alphabet)
+
+
 def oracle_verify_easy(f: Dfa, decomposition, envelope) -> None:
     """Decomposition equivalence, then envelope inclusion decided exactly by
     determinizing the envelope's star product."""
     alphabet = f.alphabet
-    union = nfa_union([expr_to_nfa(e, alphabet) for e in decomposition], alphabet)
-    gap = oracle_separating_word(union, f.to_nfa())
+    gap = oracle_separating_word(oracle_union_nfa(decomposition, alphabet), f.to_nfa())
     if gap is not None:
         raise CertificateError(
             f"decomposition differs from the filter on {word_to_text(gap)!r}")
@@ -611,7 +685,7 @@ def oracle_solve_rr_bounded_detail(exprs, a: Dfa):
             raise AssertionError("bounded solver produced a word the machine rejects")
         expr_symbols = sorted(set(e.prefix) | {c for x, y in e.blocks for c in x + y})
         alpha = merge_alphabets(a.alphabet, expr_symbols)
-        if not run_nfa(expr_to_nfa(e, alpha), word):
+        if not run_nfa(oracle_expr_to_nfa(e, alpha), word):
             raise AssertionError("bounded solver produced a word outside its expression")
         return word, index, exponents
     return None

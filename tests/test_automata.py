@@ -6,6 +6,7 @@ from helpers import (
     lang_upto,
     naive_dfa_accepts,
     naive_nfa_accepts,
+    nfa_union,
     random_dfa,
     random_nfa,
     words_upto,
@@ -24,7 +25,6 @@ from rrkit import (
     inclusion_counterexample,
     merge_alphabets,
     nfa_to_text,
-    nfa_union,
     parse_automaton,
     parse_dfa,
     parse_nfa,

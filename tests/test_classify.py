@@ -5,6 +5,7 @@ import pytest
 
 from helpers import (
     lang_upto,
+    nfa_union,
     oracle_noncommuting_cycles,
     random_dfa,
     trim_dfas_upto,
@@ -27,7 +28,6 @@ from rrkit import (
     envelope,
     equivalent,
     expr_to_nfa,
-    nfa_union,
     normalize_witness,
     parse_dfa,
     primitive_root,

@@ -1,6 +1,7 @@
 """The classifier's structural fast paths against the reference searches in
 helpers: identical certificate text, identical `verify_easy` outcomes and
-messages, and call counts that pin the easy path's complexity."""
+messages, the shared-prefix recognizer against the union of one chain per
+expression, and call counts that pin the easy path's complexity."""
 
 import ast
 import importlib
@@ -8,13 +9,17 @@ import pathlib
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rrkit
 from helpers import (
     count_calls,
     diamond_filter,
     enumerate_dfas,
+    lang_upto,
     oracle_classification_text,
+    oracle_union_nfa,
     oracle_verify_easy,
     outcome,
     planted_hard_filter,
@@ -22,14 +27,18 @@ from helpers import (
     ring_filter,
 )
 from rrkit import (
+    AlphabetError,
+    BoundedExpr,
     CertificateError,
     Easy,
     Hard,
+    bounded_nfa,
     classification_to_text,
     classify,
     condense,
     dfa_to_text,
     parse_dfa,
+    separating_word,
     trim,
     universal_dfa,
     verify_easy,
@@ -161,6 +170,138 @@ class TestVerifyEasyMatchesOracle:
         verdict = classify(f)
         with pytest.raises(CertificateError, match="empty word"):
             verify_easy(f, verdict.decomposition, ("a", "", "b"))
+
+
+# ---------------------------------------------------------------------------
+# the shared-prefix recognizer against the union of one chain per expression
+
+# few loop and bridge words, so that loops repeat and bridges are often empty
+LOOPS = st.sampled_from(["a", "b", "ab", "ba", "aab"])
+BRIDGES = st.sampled_from(["", "", "", "a", "b", "ab"])
+BLOCKS = st.lists(st.tuples(LOOPS, BRIDGES), max_size=3).map(tuple)
+EXPRS = st.one_of(
+    st.just(BoundedExpr("", ())),
+    st.builds(BoundedExpr, st.sampled_from(["", "", "a", "b", "ab", "ba"]), BLOCKS),
+)
+
+
+@st.composite
+def decompositions(draw):
+    """0 to 6 expressions; most after the first share a token prefix with
+    an earlier one (its prefix letters, or its prefix and first blocks), and
+    some repeat an earlier one outright."""
+    exprs: list[BoundedExpr] = []
+    for _ in range(draw(st.integers(0, 6))):
+        how = draw(st.sampled_from(["fresh", "prefix", "blocks", "copy"])) if exprs else "fresh"
+        if how == "fresh":
+            exprs.append(draw(EXPRS))
+            continue
+        base = draw(st.sampled_from(exprs))
+        if how == "copy":
+            exprs.append(base)
+        elif how == "prefix":
+            cut = draw(st.integers(0, len(base.prefix)))
+            tail = draw(st.sampled_from(["", "a", "b"]))
+            exprs.append(BoundedExpr(base.prefix[:cut] + tail, draw(BLOCKS)))
+        else:
+            keep = draw(st.integers(0, len(base.blocks)))
+            exprs.append(BoundedExpr(base.prefix, base.blocks[:keep] + draw(BLOCKS)))
+    return tuple(exprs)
+
+
+AB = ("a", "b")
+
+
+class TestSharedPrefixRecognizer:
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(decompositions())
+    def test_same_language_as_the_union_of_chains(self, exprs):
+        trie = bounded_nfa(exprs, AB)
+        union = oracle_union_nfa(exprs, AB)
+        assert lang_upto(trie, 6) == lang_upto(union, 6)
+        assert separating_word(trie, union) is None
+
+    def test_empty_decomposition_and_empty_word(self):
+        assert lang_upto(bounded_nfa((), AB), 3) == set()
+        assert lang_upto(bounded_nfa((BoundedExpr("", ()),), AB), 3) == {""}
+
+    def test_diamond_7_state_count(self):
+        # (ab|ba)^7: 128 expressions of 14 letters each share one trie of
+        # 1 + 2 + 4 + ... nodes, against 128 chains of 15 states and a root
+        verdict = classify(diamond_filter(7))
+        assert isinstance(verdict, Easy) and len(verdict.decomposition) == 128
+        assert len(bounded_nfa(verdict.decomposition, AB).states) == 509
+        assert len(oracle_union_nfa(verdict.decomposition, AB).states) == 1921
+
+
+def _tampered(exprs, words):
+    """(label, decomposition, envelope) triples: each expression dropped,
+    one extra expression, a foreign letter in the prefix, a loop or a
+    bridge, and an envelope reversed, cut short, or given a foreign or an
+    empty word."""
+    for i in range(len(exprs)):
+        yield f"drop {i}", exprs[:i] + exprs[i + 1:], words
+    yield "extra", exprs + (BoundedExpr("bb", (("a", "b"),)),), words
+    yield "extra epsilon", exprs + (BoundedExpr("", ()),), words
+    e = exprs[-1]
+    yield "foreign prefix", exprs[:-1] + (BoundedExpr(e.prefix + "z", e.blocks),), words
+    if e.blocks:
+        (x, y), rest = e.blocks[0], e.blocks[1:]
+        yield "foreign loop", exprs[:-1] + (BoundedExpr(e.prefix, ((x + "z", y),) + rest),), words
+        yield ("foreign bridge",
+               exprs[:-1] + (BoundedExpr(e.prefix, ((x, y + "z"),) + rest),), words)
+    yield "envelope reversed", exprs, words[::-1]
+    yield "envelope cut short", exprs, words[1:]
+    yield "envelope foreign word", exprs, words + ("z",)
+    yield "envelope empty word", exprs, ("",) + words
+
+
+class TestTamperedCertificates:
+    """`verify_easy` on the trie raises what it raised on the union of
+    chains: the same exception type and message."""
+
+    @pytest.fixture
+    def previous(self, monkeypatch):
+        def run(*args):
+            with monkeypatch.context() as patch:
+                patch.setattr(classify_module, "bounded_nfa", oracle_union_nfa)
+                return outcome(verify_easy, *args)
+        return run
+
+    @pytest.mark.parametrize("index", range(len(EASY_FILTERS)))
+    def test_same_outcome_as_the_union_of_chains(self, index, previous):
+        f = trim(EASY_FILTERS[index])
+        verdict = classify(f)
+        kinds = set()
+        for label, exprs, words in _tampered(verdict.decomposition, verdict.envelope):
+            got = outcome(verify_easy, f, exprs, words)
+            assert got == previous(f, exprs, words), label
+            if got is not None:
+                kinds.add(got[0])
+        assert kinds == {"CertificateError", "AlphabetError", "ValueError"}
+
+    def test_pinned_messages(self):
+        f = diamond_filter(2)
+        exprs = classify(f).decomposition
+        assert outcome(verify_easy, f, exprs[1:], ("ab", "ba")) == (
+            "CertificateError", f"decomposition differs from the filter on {exprs[0].prefix!r}")
+        assert outcome(verify_easy, f, exprs + (BoundedExpr("", ()),), ("ab", "ba")) == (
+            "CertificateError", "decomposition differs from the filter on '-'")
+        with pytest.raises(AlphabetError, match="symbol 'z' not in the alphabet"):
+            verify_easy(f, exprs + (BoundedExpr("z", ()),), ("ab", "ba"))
+
+
+class TestOneRecognizerPerClassify:
+    @pytest.mark.parametrize("make", [
+        lambda: diamond_filter(6),
+        lambda: diamond_filter(4, loop_at=(2, 1)),
+        lambda: ring_filter(random.Random(191), 60, 3),
+        lambda: parse_dfa("dfa\nalphabet a\nstates 0\ninitial 0\naccept\n"),
+    ], ids=["diamond-6", "diamond-4-looped", "ring-60", "empty"])
+    def test_one_build_and_one_search(self, make, monkeypatch):
+        calls = count_calls(monkeypatch, ["bounded_nfa", "separating_word"])
+        assert isinstance(classify(make()), Easy)
+        assert calls == {"bounded_nfa": 1, "separating_word": 1}
 
 
 class TestEasyPathCallCounts:

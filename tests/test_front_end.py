@@ -1,11 +1,16 @@
 """The front end reads each input once: the parsers against the reference
 parsers in helpers on valid and mutated texts, one tokenizing pass per
 parse, and `cli.main` on one shared argument parser, called repeatedly in
-one process."""
+one process. Files that cannot be read or written and gadget words no
+machine text can hold end with exit 2 and an `error:` line."""
 
 import contextlib
 import io
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +18,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     count_calls,
+    naive_nfa_accepts,
     oracle_parse_automaton,
     oracle_parse_dfa,
     oracle_parse_dfst,
@@ -32,6 +38,7 @@ from rrkit import (
 from rrkit.cli import build_parser, main
 
 PROPERTY = settings(derandomize=True, max_examples=400, deadline=None)
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 # ---------------------------------------------------------------------------
 # differential parsers
@@ -293,3 +300,107 @@ def test_shared_parser_keeps_calls_apart(tmp_path):
         build_parser.cache_clear()
         fresh.append(_call(argv, out_path))
     assert shared == fresh
+
+
+# ---------------------------------------------------------------------------
+# a file that cannot be read or written, or a gadget word that no machine
+# text can hold: exit 2 and one `error:` line, with no traceback
+
+DFST_TEXT = ("dfst\nin_alphabet a b\nout_alphabet a b\nstates 0\ninitial 0\naccept 0\n"
+             "trans 0 a a 0\ntrans 0 b b 0\n")
+GRAPH_TEXT = "graph\nnodes 2\nsource 0\ntarget 1\nedge 0 1\n"
+NOT_UTF8 = b"dfa\nalphabet a\xff\n"
+
+# each subcommand on inputs it succeeds on; its first input is argv[1]
+COMMANDS = {
+    "classify": ["classify", "{hard}"],
+    "cover": ["cover", "{hard}", "{target}"],
+    "solve": ["solve", "{easy}", "{input}"],
+    "reduce": ["reduce", "{dfst}", "{input}"],
+    "gadget": ["gadget", "{graph}", "--word", "ab"],
+    "compose": ["compose", "{dfst}", "{dfst}"],
+    "image": ["image", "{dfst}", "{input}"],
+    "equiv": ["equiv", "{easy}", "{input}"],
+}
+WITH_OUT = ["classify", "cover", "reduce", "gadget", "compose", "image"]
+
+
+@pytest.fixture
+def inputs(tmp_path):
+    paths = {}
+    for name, text in (("hard", HARD_TEXT), ("easy", EASY_TEXT), ("target", TARGET_TEXT),
+                       ("input", INPUT_TEXT), ("dfst", DFST_TEXT), ("graph", GRAPH_TEXT)):
+        (tmp_path / f"{name}.txt").write_text(text)
+        paths[name] = str(tmp_path / f"{name}.txt")
+    return paths
+
+
+def _run(argv):
+    """Exit code, stdout and stderr of one call; any exception escapes."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _argv(command, inputs):
+    return [arg.format(**inputs) for arg in COMMANDS[command]]
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_inputs_are_accepted(command, inputs):
+    assert _run(_argv(command, inputs))[0] == 0
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_first_input_not_utf8(command, inputs, tmp_path):
+    bad = tmp_path / "latin1.txt"
+    bad.write_bytes(NOT_UTF8)
+    argv = _argv(command, inputs)
+    argv[1] = str(bad)
+    assert _run(argv) == (2, "", f"error: cannot read {bad}: not UTF-8 text\n")
+
+
+@pytest.mark.parametrize("command", WITH_OUT)
+def test_out_into_missing_directory(command, inputs, tmp_path):
+    target = tmp_path / "missing" / "x.txt"
+    argv = _argv(command, inputs) + ["--out", str(target)]
+    assert _run(argv) == (2, "", f"error: cannot write {target}: No such file or directory\n")
+    assert not target.parent.exists()
+
+
+@pytest.mark.parametrize("word, bad", [("a#b", "#"), ("a-b", "-"), ("é", "é"), ("ab-", "-")],
+                         ids=["hash", "inner-dash", "e-acute", "trailing-dash"])
+def test_gadget_word_with_a_bad_letter(word, bad, inputs, tmp_path):
+    target = tmp_path / "gadget.txt"
+    argv = ["gadget", inputs["graph"], "--word", word, "--out", str(target)]
+    assert _run(argv) == (
+        2, "", f"error: bad symbol {bad!r}: want one ASCII letter or digit\n")
+    assert not target.exists()
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+# no `-` inside a drawn word: argparse reads a leading one as an option
+@given(word=st.one_of(st.just("-"), st.text(alphabet="ab09Z#é ", max_size=4)))
+def test_every_accepted_gadget_word_parses_back(word, workdir):
+    graph = workdir / "gadget-graph.txt"
+    graph.write_text(GRAPH_TEXT)
+    code, out, err = _run(["gadget", str(graph), "--word", word])
+    if code == 0:
+        letters = "" if word == "-" else word
+        machine = parse_nfa(out)
+        assert machine.alphabet == tuple(sorted(set(letters)))
+        assert naive_nfa_accepts(machine, letters)
+    else:
+        assert (code, out) == (2, "") and err.startswith("error: bad symbol ")
+
+
+def test_not_utf8_from_the_command_line(tmp_path):
+    bad = tmp_path / "latin1.txt"
+    bad.write_bytes(NOT_UTF8)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run([sys.executable, "-m", "rrkit", "classify", str(bad)],
+                          capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == f"error: cannot read {bad}: not UTF-8 text\n"
