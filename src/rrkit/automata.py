@@ -323,12 +323,6 @@ def dfa_to_text(d: Dfa) -> str:
 
 def nfa_to_text(n: Nfa) -> str:
     n = canonical_nfa(n)
-    idx = {sym: k for k, sym in enumerate(n.alphabet)}
-
-    def key(tr):
-        q, sym, t = tr
-        return (q, -1 if sym is EPS else idx[sym], t)
-
     lines = [
         "nfa",
         _kw_line("alphabet", n.alphabet),
@@ -336,7 +330,7 @@ def nfa_to_text(n: Nfa) -> str:
         _kw_line("initial", (str(q) for q in sorted(n.initial))),
         _kw_line("accept", (str(q) for q in sorted(n.accepting))),
     ]
-    for q, sym, t in sorted(n.transitions, key=key):
+    for q, sym, t in n.transitions:  # in canonical_nfa's sorted order
         lines.append(f"trans {q} {'eps' if sym is EPS else sym} {t}")
     return "\n".join(lines) + "\n"
 
@@ -369,7 +363,8 @@ def canonical_nfa(n: Nfa) -> Nfa:
     """BFS renumbering seeded by the initial states in ascending order.
 
     Epsilon successors are explored before symbol successors. States not
-    reachable from any initial state are dropped.
+    reachable from any initial state are dropped. Transitions come out
+    sorted by (state, symbol in alphabet order with eps first, target).
     """
     idx = {sym: k for k, sym in enumerate(n.alphabet)}
     adj: dict[int, list[tuple[int, int]]] = {}

@@ -35,7 +35,6 @@ from .rr import (
     reduce_rr,
     solve_rr,
     solve_rr_bounded_detail,
-    solve_rr_nfa,
 )
 from .transducer import dfst_to_text, image_nfa, compose_dfst, parse_dfst
 
@@ -119,13 +118,9 @@ def cmd_solve(args) -> int:
         hit = solve_rr_bounded_detail(verdict.decomposition, input_dfa)
         witness = None if hit is None else hit[0]
         exponents = None if hit is None else hit[2]
-    elif args.nfa:
-        witness = solve_rr_nfa(_load_machine(args.filter, args.regex),
-                               _load_machine(args.input, False))
     else:
-        filter_dfa = _as_dfa(_load_machine(args.filter, args.regex))
-        input_dfa = _as_dfa(_load_machine(args.input, False))
-        witness = solve_rr(filter_dfa, input_dfa)
+        witness = solve_rr(_load_machine(args.filter, args.regex),
+                           _load_machine(args.input, False))
     if witness is None:
         print("NO")
     else:
@@ -144,7 +139,9 @@ def cmd_reduce(args) -> int:
 
 def cmd_gadget(args) -> int:
     graph = parse_digraph(_read(args.graph))
-    word = "" if args.word == "-" else args.word
+    # argparse takes the value of `--word=--` for the end of options: []
+    word = args.word if isinstance(args.word, str) else "--"
+    word = "" if word == "-" else word
     for sym in word:
         _check_symbol(sym)
     alphabet = tuple(sorted(set(word)))
@@ -210,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input")
     p.add_argument("--regex", action="store_true")
     p.add_argument("--nfa", action="store_true",
-                   help="solve the nondeterministic variant")
+                   help="accepted for compatibility; DFA and NFA inputs take the same path")
     p.add_argument("--counters", action="store_true",
                    help="use the counter solver over the filter's bounded decomposition")
     p.set_defaults(func=cmd_solve)

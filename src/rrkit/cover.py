@@ -221,17 +221,17 @@ def surjection_to_star(f: Dfa, witness: HardnessWitness, letters) -> Dfst:
 
     The witness must be valid for trim(f). Before returning, the image is
     proved equal to Γ* by the right-inverse walks, or, when they fail, by
-    `separating_word`.
+    `cover_gap`.
     """
     verify_witness(f, witness)
     plan = plan_cover(witness, letters)
     t = _build_dispatch(plan, witness.access, f.alphabet)
     star = universal_dfa(plan.letters)
     if not _image_proved(t, f, star, plan):
-        gap = separating_word(image_nfa(t, f), star)
+        gap = cover_gap(t, f, star)
         if gap is not None:
             raise CertificateError(
-                f"surjection image differs from the full language on {gap!r}")
+                f"surjection image differs from the full language on {gap[0]!r}")
     return t
 
 

@@ -24,7 +24,6 @@ from .automata import (
     _is_number,
     _logical_lines,
     _pair_search,
-    determinize,
     merge_alphabets,
     run,
     run_nfa,
@@ -33,19 +32,18 @@ from .classify import CertificateError, expr_to_nfa
 from .transducer import Dfst, preimage_automaton
 
 
-def solve_rr(filter_dfa: Dfa, a: Dfa) -> str | None:
-    """Shortest word in L(a) ∩ L(filter), or None when the instance is a no.
-
-    The search walks (filter state, input state) pairs on the fly and stops
-    at the first accepting pair; no product machine is built."""
-    alpha = merge_alphabets(filter_dfa.alphabet, a.alphabet)
-    return _pair_search(filter_dfa, a, alpha, _MEET)[0]
+def solve_rr(filter_machine: Dfa | Nfa, a: Dfa | Nfa) -> str | None:
+    """Shortest word in L(a) ∩ L(filter), or None when the instance is a no;
+    ties go to the smallest in the merged alphabet's order. Either machine
+    may be a Dfa or an Nfa: one pair search walks pairs of Dfa states or
+    Nfa epsilon-closed subsets on the fly, building no product or DFA."""
+    alpha = merge_alphabets(filter_machine.alphabet, a.alphabet)
+    return _pair_search(filter_machine, a, alpha, _MEET)[0]
 
 
 def solve_rr_nfa(filter_nfa: Dfa | Nfa, a: Dfa | Nfa) -> str | None:
-    """Same contract as solve_rr, with either machine nondeterministic."""
-    alpha = merge_alphabets(filter_nfa.alphabet, a.alphabet)
-    return _pair_search(filter_nfa, a, alpha, _MEET)[0]
+    """The same as solve_rr, under the name of the nondeterministic variant."""
+    return solve_rr(filter_nfa, a)
 
 
 def solve_rr_bounded_detail(exprs, a: Dfa):
@@ -126,7 +124,7 @@ def reduce_rr(t: Dfst, a: Dfa) -> Dfa:
     """Rewrite an instance through a transducer: the returned machine
     accepts { x : t(x) ∈ L(a) }, so a filter F meets it exactly when the
     image of F under t meets L(a)."""
-    return determinize(preimage_automaton(t, a))
+    return preimage_automaton(t, a)
 
 
 # ---------------------------------------------------------------------------

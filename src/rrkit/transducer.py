@@ -134,13 +134,15 @@ def compose_dfst(t1: Dfst, t2: Dfst) -> Dfst:
                 frozenset(accepting), transitions, final_output)
 
 
-def preimage_automaton(t: Dfst, a: Dfa) -> Nfa:
-    """Recognizer of { x : t(x) is defined and t(x) ∈ L(a) }."""
+def preimage_automaton(t: Dfst, a: Dfa) -> Dfa:
+    """Recognizer of { x : t(x) is defined and t(x) ∈ L(a) }: a Dfa over the
+    reachable (t state, a state) pairs, since t reads one symbol per step
+    and a is deterministic."""
     if not set(t.out_alphabet) <= set(a.alphabet):
         raise AlphabetError("transducer emits symbols outside the automaton's alphabet")
     ids: dict[tuple[int, int], int] = {(t.initial, a.initial): 0}
     queue = deque([(t.initial, a.initial)])
-    triples: list[tuple[int, str | None, int]] = []
+    transitions: dict[tuple[int, str], int] = {}
     accepting: set[int] = set()
     while queue:
         pair = queue.popleft()
@@ -162,9 +164,8 @@ def preimage_automaton(t: Dfst, a: Dfa) -> Nfa:
             if j is None:
                 j = ids[(qt2, qa2)] = len(ids)
                 queue.append((qt2, qa2))
-            triples.append((i, sym, j))
-    return Nfa(t.in_alphabet, frozenset(ids.values()), frozenset({0}),
-               frozenset(accepting), tuple(triples))
+            transitions[(i, sym)] = j
+    return Dfa(t.in_alphabet, frozenset(ids.values()), 0, frozenset(accepting), transitions)
 
 
 def image_nfa(t: Dfst, a: Dfa) -> Nfa:

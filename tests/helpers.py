@@ -632,6 +632,38 @@ def oracle_cover(f: Dfa, r: Dfa) -> Dfst:
     return combined
 
 
+def oracle_preimage_nfa(t: Dfst, a: Dfa) -> Nfa:
+    """The preimage { x : t(x) is defined and t(x) ∈ L(a) } as the Nfa the
+    library first built: one transition triple per reached pair and
+    symbol, with the pairs numbered in breadth-first order."""
+    if not set(t.out_alphabet) <= set(a.alphabet):
+        raise AlphabetError("transducer emits symbols outside the automaton's alphabet")
+    ids = {(t.initial, a.initial): 0}
+    queue = [(t.initial, a.initial)]
+    triples = []
+    accepting = set()
+    for qt, qa in queue:
+        i = ids[(qt, qa)]
+        if qt in t.accepting:
+            end = a.walk(qa, t.final_output.get(qt, ""))
+            if end is not None and end in a.accepting:
+                accepting.add(i)
+        for sym in t.in_alphabet:
+            tr = t.transitions.get((qt, sym))
+            if tr is None:
+                continue
+            out, qt2 = tr
+            qa2 = a.walk(qa, out)
+            if qa2 is None:
+                continue
+            if (qt2, qa2) not in ids:
+                ids[(qt2, qa2)] = len(ids)
+                queue.append((qt2, qa2))
+            triples.append((i, sym, ids[(qt2, qa2)]))
+    return Nfa(t.in_alphabet, frozenset(ids.values()), frozenset({0}),
+               frozenset(accepting), tuple(triples))
+
+
 def oracle_solve_rr_bounded_detail(exprs, a: Dfa):
     """Counter search recursing once per block: (word, expression index,
     exponent vector) or None."""

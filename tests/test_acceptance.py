@@ -212,7 +212,7 @@ def test_criterion_7_transducer_algebra():
             if apply(composed, x) != chained:
                 failures.append((k, "compose", x))
             want_pre = mid is not None and run(a, mid)
-            if run_nfa(pre, x) != want_pre:
+            if run(pre, x) != want_pre:
                 failures.append((k, "preimage", x))
             if run_nfa(img, x) != image_member(t1, a, x):
                 failures.append((k, "image", x))

@@ -369,11 +369,14 @@ def test_out_into_missing_directory(command, inputs, tmp_path):
     assert not target.parent.exists()
 
 
-@pytest.mark.parametrize("word, bad", [("a#b", "#"), ("a-b", "-"), ("é", "é"), ("ab-", "-")],
-                         ids=["hash", "inner-dash", "e-acute", "trailing-dash"])
+# `--word=W` keeps W whole: argparse would read a lone `--` as the end of
+# options and pass an empty list for it
+@pytest.mark.parametrize("word, bad", [("a#b", "#"), ("a-b", "-"), ("é", "é"), ("ab-", "-"),
+                                       ("--", "-")],
+                         ids=["hash", "inner-dash", "e-acute", "trailing-dash", "only-dashes"])
 def test_gadget_word_with_a_bad_letter(word, bad, inputs, tmp_path):
     target = tmp_path / "gadget.txt"
-    argv = ["gadget", inputs["graph"], "--word", word, "--out", str(target)]
+    argv = ["gadget", inputs["graph"], f"--word={word}", "--out", str(target)]
     assert _run(argv) == (
         2, "", f"error: bad symbol {bad!r}: want one ASCII letter or digit\n")
     assert not target.exists()

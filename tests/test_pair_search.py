@@ -1,9 +1,12 @@
 """The on-the-fly pair search against the full-product pipelines it replaced
 (kept in helpers as oracles): identical words on seeded random machines and
 on hypothesis-drawn ones, pinned tie-break cases, and call counts showing
-that no determinization, complement, product or renumbering is built."""
+that no determinization, complement, product or renumbering is built, also
+by `rrkit solve` on DFA, NFA and regex input, with or without `--nfa`."""
 
+import contextlib
 import importlib
+import io
 import random
 
 import pytest
@@ -11,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    count_calls,
     oracle_cover_gap,
     oracle_inclusion_counterexample,
     oracle_separating_word,
@@ -25,12 +29,17 @@ from rrkit import (
     Dfst,
     Nfa,
     cover_gap,
+    dfa_to_text,
     identity_transducer,
     inclusion_counterexample,
+    nfa_to_text,
+    regex_to_nfa,
     separating_word,
     solve_rr,
     solve_rr_nfa,
 )
+from rrkit.automata import word_to_text
+from rrkit.cli import main
 
 automata_module = importlib.import_module("rrkit.automata")
 rr_module = importlib.import_module("rrkit.rr")
@@ -282,3 +291,76 @@ class TestNoProductBuilt:
         separating_word(a, b)
         inclusion_counterexample(random_dfa(rng, 60), b)
         assert calls == dict.fromkeys(self.GUARDED, 0)
+
+
+# ---------------------------------------------------------------------------
+# the CLI: one solve path for DFA, NFA and regex input; `--nfa` selects none
+
+
+def _cli(argv):
+    """Exit code, stdout and stderr of one in-process `rrkit` call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _text(m):
+    return dfa_to_text(m) if isinstance(m, Dfa) else nfa_to_text(m)
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    return tmp_path_factory.mktemp("solve-cli")
+
+
+@st.composite
+def filter_files(draw):
+    """(file text, extra argv, the filter as an Nfa or None for a regex)."""
+    kind = draw(st.sampled_from(("dfa", "nfa", "regex")))
+    if kind == "regex":
+        return draw(st.text(alphabet="abc()|*", max_size=10)) + "\n", ["--regex"], None
+    m = draw(dfas() if kind == "dfa" else nfas())
+    return _text(m), [], m.to_nfa() if isinstance(m, Dfa) else m
+
+
+class TestSolveCli:
+    @PROPERTY
+    @given(filter_files(), dfas() | nfas())
+    def test_nfa_flag_selects_no_path(self, workdir, filt, a):
+        text, flags, f = filt
+        (workdir / "filter.txt").write_text(text)
+        (workdir / "input.txt").write_text(_text(a))
+        argv = ["solve", *flags, str(workdir / "filter.txt"), str(workdir / "input.txt")]
+        plain = _cli(argv)
+        assert _cli([*argv, "--nfa"]) == plain
+        if plain[0] != 0:
+            assert flags and plain[1] == "" and plain[2].startswith("error: ")
+            return
+        if f is None:
+            f = regex_to_nfa(text.strip())
+        want = oracle_solve_rr_nfa(f, a.to_nfa() if isinstance(a, Dfa) else a)
+        assert plain == (0, "NO\n" if want is None else f"YES {word_to_text(want)}\n", "")
+
+    def test_solve_makes_no_dfa(self, tmp_path, monkeypatch):
+        rng = random.Random(137)
+        files = {
+            "dfa_f": dfa_to_text(random_dfa(rng, 40)),
+            "dfa_a": dfa_to_text(random_dfa(rng, 40)),
+            "nfa_f": nfa_to_text(random_nfa(rng, 30)),
+            "nfa_a": nfa_to_text(random_nfa(rng, 30)),
+            # its DFA has 2^17 + 1 states
+            "regex": "(a|b)*a" + "(a|b)" * 16 + "\n",
+            "a_star": "dfa\nalphabet a\nstates 0\ninitial 0\naccept 0\ntrans 0 a 0\n",
+        }
+        p = {}
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+            p[name] = str(tmp_path / name)
+        calls = count_calls(monkeypatch, ["determinize"])
+        for argv in (["solve", p["dfa_f"], p["dfa_a"]], ["solve", p["nfa_f"], p["nfa_a"]],
+                     ["solve", "--nfa", p["dfa_f"], p["nfa_a"]],
+                     ["solve", p["nfa_f"], p["dfa_a"]]):
+            assert _cli(argv)[0] == 0
+        assert _cli(["solve", "--regex", p["regex"], p["a_star"]]) == (0, "YES " + "a" * 17 + "\n", "")
+        assert calls == {"determinize": 0}

@@ -4,11 +4,13 @@ import pytest
 
 from helpers import (
     bfs_reachable_oracle,
+    count_calls,
     diamond_filter,
     enumerate_dfas,
     lang_upto,
     looped_chain,
     naive_nfa_accepts,
+    oracle_preimage_nfa,
     oracle_solve_rr_bounded_detail,
     random_dfa,
     random_dfst,
@@ -23,9 +25,12 @@ from rrkit import (
     classify,
     decompose,
     determinize,
+    dfa_to_text,
+    dfst_to_text,
     equivalent,
     image_nfa,
     parse_dfa,
+    parse_dfst,
     parse_digraph,
     reachability_gadget,
     reduce_rr,
@@ -39,6 +44,7 @@ from rrkit import (
     universal_dfa,
     Dfst,
 )
+from rrkit.cli import main
 
 A_STAR_B_STAR = parse_dfa(
     "dfa\nalphabet a b\nstates 0 1\ninitial 0\naccept 0 1\n"
@@ -212,6 +218,31 @@ class TestReduceRr:
             direct = solve_rr(f1, a)
             reduced = solve_rr(f2, reduce_rr(t, a))
             assert (direct is None) == (reduced is None)
+
+    def test_cli_matches_determinized_oracle(self, tmp_path, capsys):
+        rng = random.Random(109)
+        alphabets = [("a", "b"), ("b", "a"), ("a",), ("a", "b", "c")]
+        t_path, a_path = tmp_path / "t.txt", tmp_path / "a.txt"
+        for _ in range(120):
+            in_alpha, out_alpha = rng.choice(alphabets), rng.choice(alphabets)
+            t_path.write_text(dfst_to_text(random_dfst(
+                rng, rng.randint(1, 4), in_alpha, out_alpha, max_out=3)))
+            a_path.write_text(dfa_to_text(random_dfa(
+                rng, rng.randint(1, 6), out_alpha, density=rng.choice((0.5, 0.8, 1.0)))))
+            assert main(["reduce", str(t_path), str(a_path)]) == 0
+            want = oracle_preimage_nfa(parse_dfst(t_path.read_text()),
+                                       parse_dfa(a_path.read_text()))
+            assert capsys.readouterr() == (dfa_to_text(determinize(want)), "")
+
+    def test_cli_makes_no_dfa(self, tmp_path, monkeypatch, capsys):
+        rng = random.Random(113)
+        t_path, a_path = tmp_path / "t.txt", tmp_path / "a.txt"
+        t_path.write_text(dfst_to_text(random_dfst(rng, 6)))
+        a_path.write_text(dfa_to_text(random_dfa(rng, 12)))
+        calls = count_calls(monkeypatch, ["determinize"])
+        assert main(["reduce", str(t_path), str(a_path)]) == 0
+        assert capsys.readouterr().out.startswith("dfa\n")
+        assert calls == {"determinize": 0}
 
 
 class TestDigraph:

@@ -6,6 +6,7 @@ from helpers import (
     image_member,
     lang_upto,
     naive_apply,
+    naive_dfa_accepts,
     naive_nfa_accepts,
     random_dfa,
     random_dfst,
@@ -132,7 +133,7 @@ class TestPreimage:
             for x in words_upto(("a", "b"), 4):
                 y = naive_apply(t, x)
                 want = y is not None and naive_nfa_accepts(a.to_nfa(), y)
-                assert naive_nfa_accepts(pre, x) == want
+                assert naive_dfa_accepts(pre, x) == want
 
 
 class TestImage:
