@@ -11,15 +11,20 @@ canonical BFS discovery order; that makes the output byte-stable.
 
 Inclusion, equivalence and intersection are decided without building a
 product: `_pair_search` walks pairs of side states breadth-first, in
-alphabet order, and stops at the first pair of the wanted kind. A Dfa side
-is a state, an Nfa side an epsilon-closed subset whose successors are
-computed (and memoised) only when the walk reaches them. Equivalence asks
-for the symmetric difference; there the search finishes the level where
-the first differing pair appears and returns the first left-only and the
-first right-only word of that level, and the caller keeps the smaller by
-`(len(w), w)`, i.e. Python's code-point order. That is the answer two
-one-sided inclusion checks give, also on an alphabet declared out of
-order such as `("b", "a")`.
+alphabet order, and stops at the first pair of the wanted kind. Each side
+names its states by int ids: a Dfa its own state numbers, when they lie in
+[0, n] for n states, and otherwise ids in order of first reach; an Nfa its
+epsilon-closed subsets, in order of first reach. Successors sit in
+per-symbol rows, `rows[k][i]` for the k-th symbol, filled in only when the
+walk first needs them, so a search that stops early reads only the
+transitions it used. A reached pair keeps only its parent pair and the
+symbol read, and a word is spelled out, along those links, only for a pair
+that answers the search. Equivalence asks for the symmetric difference;
+there the search finishes the level where the first differing pair appears
+and returns the first left-only and the first right-only word of that
+level, and the caller keeps the smaller by `(len(w), w)`, i.e. Python's
+code-point order. That is the answer two one-sided inclusion checks give,
+also on an alphabet declared out of order such as `("b", "a")`.
 """
 
 from __future__ import annotations
@@ -636,37 +641,119 @@ def complement(d: Dfa) -> Dfa:
 # on-the-fly language comparison
 
 
-# A search mode maps the acceptance of a pair, (left accepts, right
-# accepts), to the result slot it fills; pairs of other kinds are passed over.
-_MEET = {(True, True): 0}
-_LEFT = {(True, False): 0}
-_DIFF = {(True, False): 0, (False, True): 1}
+class _Mode(dict):
+    """A search mode: it maps the acceptance of a pair, (left accepts,
+    right accepts), to the result slot the pair fills; pairs of other
+    kinds are passed over. `table[x][y]` is the same map as nested lists,
+    with `table[x]` None when no slot takes a left side whose acceptance
+    is x. `need_a` (`need_b`) says that every slot wants the left (right)
+    side accepting, so a pair whose left (right) side is dead leads nowhere.
+    """
+
+    def __init__(self, slots):
+        super().__init__(slots)
+        self.need_a = all(x for x, _ in slots)
+        self.need_b = all(y for _, y in slots)
+        self.table: list = [None, None]
+        for (x, y), slot in slots.items():
+            if self.table[x] is None:
+                self.table[x] = [None, None]
+            self.table[x][y] = slot
 
 
-def _side(m: Dfa | Nfa):
-    """(start, step, accepts) for one side of a pair search. A Dfa side is
-    a state; an Nfa side is an epsilon-closed subset whose successors are
-    memoised per (subset, symbol). None marks a dead side."""
+_MEET = _Mode({(True, True): 0})
+_LEFT = _Mode({(True, False): 0})
+_DIFF = _Mode({(True, False): 0, (False, True): 1})
+
+
+class _Renumber(Exception):
+    """Raised by a Dfa side that meets a state number it cannot use as an id."""
+
+
+def _side(m: Dfa | Nfa, alphabet, own_numbers: bool = True):
+    """One side of a pair search: (start, rows, miss, accepting, width).
+
+    Side states are int ids, and -1 is the dead side that a missing
+    transition leads to. `rows[k][i]` is the successor of id i on
+    `alphabet[k]`: None until the search first needs it, when
+    `miss(i, alphabet[k])` computes it and the search stores it. Each row
+    ends in the dead side's entry, so `rows[k][-1] == -1`. `accepting`
+    holds the accepting ids, and every id is below `width - 1`.
+
+    A Dfa side with n states uses its state numbers as ids while they lie
+    in [0, n]. It then needs no id table, and each row has n + 2 slots. A
+    number outside that range raises `_Renumber`, and `_pair_search` asks
+    again with `own_numbers` False. An Nfa side, whose states are
+    epsilon-closed subsets, and a renumbered Dfa side number their states
+    in order of first reach. So memory never grows with the value of a
+    state numeral.
+    """
+    if isinstance(m, Dfa) and own_numbers:
+        get, accepting = m.transitions.get, m.accepting
+        cap = len(m.states) + 1
+        # an accepting state numbered -1, even one never reached, would
+        # make the dead side accept
+        if not 0 <= m.initial < cap or -1 in accepting:
+            raise _Renumber(m)
+        rows = []
+        for _ in alphabet:
+            row = [None] * (cap + 1)
+            row[cap] = -1
+            rows.append(row)
+
+        def miss(q, sym):
+            t = get((q, sym))
+            if t is None:
+                return -1
+            if 0 <= t < cap:
+                return t
+            raise _Renumber(m)
+
+        return m.initial, rows, miss, accepting, cap + 1
+
+    ids: dict = {}
+    names: list = []
+    accepting_ids: set[int] = set()
+    rows = [[-1] for _ in alphabet]
+
+    def fresh(t, accepts: bool) -> int:
+        """Number a state reached for the first time."""
+        i = ids[t] = len(names)
+        names.append(t)
+        for row in rows:
+            row.insert(-1, None)
+        if accepts:
+            accepting_ids.add(i)
+        return i
+
     if isinstance(m, Dfa):
-        trans = m.transitions
-        return m.initial, lambda q, sym: trans.get((q, sym)), m.accepting.__contains__
+        get, accepting = m.transitions.get, m.accepting
+
+        def miss(i, sym):
+            t = get((names[i], sym))
+            if t is None:
+                return -1
+            j = ids.get(t)
+            return fresh(t, t in accepting) if j is None else j
+
+        return fresh(m.initial, m.initial in accepting), rows, miss, accepting_ids, sys.maxsize
+
     eps, moves = _index(m)
-    memo: dict[tuple[frozenset[int], str], frozenset[int] | None] = {}
-
-    def step(subset, sym):
-        key = (subset, sym)
-        try:
-            return memo[key]
-        except KeyError:
-            target = memo[key] = _subset_step(subset, sym, eps, moves) or None
-            return target
-
     accepting = m.accepting
-    return (_closure(m.initial, eps) or None, step,
-            lambda subset: not accepting.isdisjoint(subset))
+
+    def miss(i, sym):
+        t = _subset_step(names[i], sym, eps, moves)
+        if not t:
+            return -1
+        j = ids.get(t)
+        return fresh(t, not accepting.isdisjoint(t)) if j is None else j
+
+    start = _closure(m.initial, eps)
+    start_id = fresh(start, not accepting.isdisjoint(start)) if start else -1
+    return start_id, rows, miss, accepting_ids, sys.maxsize
 
 
-def _pair_search(a: Dfa | Nfa, b: Dfa | Nfa, alphabet, mode) -> tuple[str | None, ...]:
+def _pair_search(a: Dfa | Nfa, b: Dfa | Nfa, alphabet, mode: _Mode) -> tuple[str | None, ...]:
     """Breadth-first search over pairs (side of a, side of b), reading
     symbols in `alphabet` order, so each pair is first reached by its
     shortest, alphabet-order-smallest word. Symbols outside a machine's
@@ -678,43 +765,87 @@ def _pair_search(a: Dfa | Nfa, b: Dfa | Nfa, alphabet, mode) -> tuple[str | None
     wanted kind is reachable, because the side it needs accepting is dead,
     are not explored.
     """
-    a_start, a_step, a_accepts = _side(a)
-    b_start, b_step, b_accepts = _side(b)
-    need_a = all(x for x, _ in mode)
-    need_b = all(y for _, y in mode)
-    found: list[str | None] = [None] * len(mode)
+    own_a = own_b = True
+    while True:
+        try:
+            return _search(_side(a, alphabet, own_a), _side(b, alphabet, own_b),
+                           alphabet, mode)
+        except _Renumber as exc:
+            own_a = own_a and exc.args[0] is not a
+            own_b = own_b and exc.args[0] is not b
+
+
+def _search(a_side, b_side, alphabet, mode: _Mode) -> tuple[str | None, ...]:
+    """`_pair_search` over two sides built by `_side`.
+
+    Each discovered pair is a node, numbered in order of discovery, so
+    the nodes of one length follow those of the length before. `parents`
+    and `syms` hold every node's parent node and the symbol read from it;
+    the side ids are kept only for the level being expanded. A pair's key,
+    `a id * width + b id`, is unique because every b id lies in
+    [-1, width - 1). Words are spelled out, by parent links, only for the
+    nodes that fill a slot.
+    """
+    a_start, a_rows, a_miss, a_acc, _ = a_side
+    b_start, b_rows, b_miss, b_acc, width = b_side
+    need_a, need_b, table = mode.need_a, mode.need_b, mode.table
+    steps = tuple(zip(alphabet, a_rows, b_rows))
+    parents, syms = [0], [""]
+    found: list[int | None] = [None] * len(mode)
+    kind = table[a_start in a_acc]
+    if kind is not None and kind[b_start in b_acc] is not None:
+        found[kind[b_start in b_acc]] = 0
+        return _spell(parents, syms, found)
+    seen = {a_start * width + b_start}
+    level_a, level_b = [a_start], [b_start]
     hit = False
-
-    def visit(p, q, word: str) -> None:
-        nonlocal hit
-        slot = mode.get((p is not None and a_accepts(p), q is not None and b_accepts(q)))
-        if slot is not None:
-            hit = True
-            if found[slot] is None:
-                found[slot] = word
-
-    visit(a_start, b_start, "")
-    seen = {(a_start, b_start)}
-    level = [(a_start, b_start, "")]
-    while level and not hit:
-        nxt = []
-        for p, q, word in level:
-            for sym in alphabet:
-                tp = None if p is None else a_step(p, sym)
-                tq = None if q is None else b_step(q, sym)
-                if (tp is None and (need_a or tq is None)) or (tq is None and need_b):
+    while level_a and not hit:
+        next_a, next_b = [], []
+        for node, p, q in zip(range(len(parents) - len(level_a), len(parents)),
+                              level_a, level_b):
+            for sym, a_row, b_row in steps:
+                tp = a_row[p]
+                if tp is None:
+                    tp = a_row[p] = a_miss(p, sym)
+                tq = b_row[q]
+                if tq is None:
+                    tq = b_row[q] = b_miss(q, sym)
+                if (tp < 0 and (need_a or tq < 0)) or (tq < 0 and need_b):
                     continue
-                pair = (tp, tq)
-                if pair in seen:
+                key = tp * width + tq
+                if key in seen:
                     continue
-                seen.add(pair)
-                grown = word + sym
-                visit(tp, tq, grown)
-                if None not in found:
-                    return tuple(found)
-                nxt.append((tp, tq, grown))
-        level = nxt
-    return tuple(found)
+                seen.add(key)
+                next_a.append(tp)
+                next_b.append(tq)
+                parents.append(node)
+                syms.append(sym)
+                kind = table[tp in a_acc]
+                if kind is not None:
+                    slot = kind[tq in b_acc]
+                    if slot is not None:
+                        hit = True
+                        if found[slot] is None:
+                            found[slot] = len(parents) - 1
+                            if None not in found:
+                                return _spell(parents, syms, found)
+        level_a, level_b = next_a, next_b
+    return _spell(parents, syms, found)
+
+
+def _spell(parents, syms, found) -> tuple[str | None, ...]:
+    """The word of each found node, read off its parent links."""
+    words: list[str | None] = []
+    for node in found:
+        if node is None:
+            words.append(None)
+            continue
+        word = []
+        while node:
+            word.append(syms[node])
+            node = parents[node]
+        words.append("".join(reversed(word)))
+    return tuple(words)
 
 
 def inclusion_counterexample(sup: Dfa | Nfa, sub: Dfa | Nfa) -> str | None:

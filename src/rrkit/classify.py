@@ -168,13 +168,15 @@ def _shortest_cycle(d: Dfa, q: int, component) -> str:
 
 def _cycle_dfa(d: Dfa, q: int, component) -> Dfa:
     """All words looping at q while staying inside q's component: the
-    component's own edges as a partial Dfa, started and accepted at q."""
+    component's own edges as a partial Dfa, started and accepted at q. It
+    keeps all of d's states, which the edges leave unreached, so that its
+    state numbers stay as dense as d's for the pair search."""
     transitions = {
         (src, sym): dst
         for (src, sym), dst in d.transitions.items()
         if src in component and dst in component
     }
-    return Dfa(d.alphabet, component, q, frozenset({q}), transitions)
+    return Dfa(d.alphabet, d.states, q, frozenset({q}), transitions)
 
 
 def _power_dfa(x: str, alphabet) -> Dfa:

@@ -43,9 +43,12 @@ from rrkit import (
 )
 from rrkit.automata import (
     FormatError,
+    _closure,
+    _index,
     _is_number,
     _parse_alphabet,
     _section,
+    _subset_step,
     word_from_text,
     word_to_text,
 )
@@ -339,6 +342,86 @@ def oracle_cover_gap(t: Dfst, f: Dfa, r: Dfa):
     if missing is None or (extra is not None and (len(extra), extra) <= (len(missing), missing)):
         return extra, "image"
     return missing, "target"
+
+
+# ---------------------------------------------------------------------------
+# reference pair search: the word-per-pair search the library ran before its
+# integer successor rows and parent links, kept verbatim as a differential
+# oracle for `rrkit.automata._pair_search` (same arguments, same result)
+
+
+def _oracle_side(m: Dfa | Nfa):
+    """(start, step, accepts) for one side of a pair search. A Dfa side is
+    a state; an Nfa side is an epsilon-closed subset whose successors are
+    memoised per (subset, symbol). None marks a dead side."""
+    if isinstance(m, Dfa):
+        trans = m.transitions
+        return m.initial, lambda q, sym: trans.get((q, sym)), m.accepting.__contains__
+    eps, moves = _index(m)
+    memo: dict[tuple[frozenset[int], str], frozenset[int] | None] = {}
+
+    def step(subset, sym):
+        key = (subset, sym)
+        try:
+            return memo[key]
+        except KeyError:
+            target = memo[key] = _subset_step(subset, sym, eps, moves) or None
+            return target
+
+    accepting = m.accepting
+    return (_closure(m.initial, eps) or None, step,
+            lambda subset: not accepting.isdisjoint(subset))
+
+
+def oracle_pair_search(a: Dfa | Nfa, b: Dfa | Nfa, alphabet, mode) -> tuple[str | None, ...]:
+    """Breadth-first search over pairs (side of a, side of b), reading
+    symbols in `alphabet` order, so each pair is first reached by its
+    shortest, alphabet-order-smallest word. Symbols outside a machine's
+    own alphabet kill its side, as widening would.
+
+    Returns one word per slot of `mode`: the first word reaching a pair of
+    that slot's kind, among the words of the first length at which any
+    slot fills (None for a slot with no such word). Pairs from which no
+    wanted kind is reachable, because the side it needs accepting is dead,
+    are not explored.
+    """
+    a_start, a_step, a_accepts = _oracle_side(a)
+    b_start, b_step, b_accepts = _oracle_side(b)
+    need_a = all(x for x, _ in mode)
+    need_b = all(y for _, y in mode)
+    found: list[str | None] = [None] * len(mode)
+    hit = False
+
+    def visit(p, q, word: str) -> None:
+        nonlocal hit
+        slot = mode.get((p is not None and a_accepts(p), q is not None and b_accepts(q)))
+        if slot is not None:
+            hit = True
+            if found[slot] is None:
+                found[slot] = word
+
+    visit(a_start, b_start, "")
+    seen = {(a_start, b_start)}
+    level = [(a_start, b_start, "")]
+    while level and not hit:
+        nxt = []
+        for p, q, word in level:
+            for sym in alphabet:
+                tp = None if p is None else a_step(p, sym)
+                tq = None if q is None else b_step(q, sym)
+                if (tp is None and (need_a or tq is None)) or (tq is None and need_b):
+                    continue
+                pair = (tp, tq)
+                if pair in seen:
+                    continue
+                seen.add(pair)
+                grown = word + sym
+                visit(tp, tq, grown)
+                if None not in found:
+                    return tuple(found)
+                nxt.append((tp, tq, grown))
+        level = nxt
+    return tuple(found)
 
 
 # ---------------------------------------------------------------------------
