@@ -81,8 +81,9 @@ class Dfa:
             raise ValueError(f"initial state {self.initial} not a state")
         if not self.accepting <= self.states:
             raise ValueError("accepting states must be states")
+        states = self.states
         for (q, sym), t in self.transitions.items():
-            if q not in self.states or t not in self.states:
+            if q not in states or t not in states:
                 raise ValueError(f"transition {q}-{sym}->{t} leaves the state set")
             if sym not in alpha:
                 raise ValueError(f"transition symbol {sym!r} not in alphabet")
@@ -527,38 +528,64 @@ def determinize(n: Nfa) -> Dfa:
     return Dfa(n.alphabet, frozenset(range(len(ids))), 0, frozenset(accepting), transitions)
 
 
-def _reachable(seeds, adjacency) -> set[int]:
-    seen = set(seeds)
-    queue = deque(seeds)
-    while queue:
-        q = queue.popleft()
-        for t in adjacency.get(q, ()):
-            if t not in seen:
-                seen.add(t)
-                queue.append(t)
-    return seen
+def _dense(d: Dfa):
+    """(initial, accepting, transitions, names): d over states 0..n-1, where
+    `names[i]` is the state that i stands for. A machine whose states are
+    0..n-1 already is given as it is, with `names` range(n); any other
+    numbering goes through one id table, in ascending order of state."""
+    n = len(d.states)
+    if min(d.states) == 0 and max(d.states) == n - 1:
+        return d.initial, d.accepting, d.transitions, range(n)
+    names = sorted(d.states)
+    ids = {q: i for i, q in enumerate(names)}
+    return (ids[d.initial], [ids[q] for q in d.accepting],
+            {(ids[q], sym): ids[t] for (q, sym), t in d.transitions.items()}, names)
 
 
 def trim(d: Dfa) -> Dfa:
     """Keep exactly the states both reachable from the initial state and
     co-reachable to an accepting one, renumbered canonically (certificates
     name them); an empty language collapses to the canonical one-state
-    machine."""
-    fwd: dict[int, list[int]] = {}
-    back: dict[int, list[int]] = {}
-    for (q, _), t in d.transitions.items():
-        fwd.setdefault(q, []).append(t)
-        back.setdefault(t, []).append(q)
-    keep = _reachable({d.initial}, fwd) & _reachable(set(d.accepting), back)
-    if d.initial not in keep:
+    machine.
+
+    On int lists over `_dense` ids, one backward pass from the accepting
+    states marks the live states. One breadth-first pass from the initial
+    state, in alphabet order, then numbers the live states as it meets
+    them and writes the trimmed transitions. Every state on a path to a
+    live state is live itself, so that pass meets the kept states in
+    `canonical_dfa`'s order, and the input's own numbering never shows."""
+    initial, accepting, transitions, _ = _dense(d)
+    n = len(d.states)
+    back: list[list[int]] = [[] for _ in range(n)]
+    for (q, _), t in transitions.items():
+        back[t].append(q)
+    live = [False] * n
+    stack = list(accepting)
+    for q in stack:
+        live[q] = True
+    while stack:
+        for q in back[stack.pop()]:
+            if not live[q]:
+                live[q] = True
+                stack.append(q)
+    if not live[initial]:
         return empty_dfa(d.alphabet)
-    transitions = {
-        (q, sym): t
-        for (q, sym), t in d.transitions.items()
-        if q in keep and t in keep
-    }
-    return canonical_dfa(Dfa(d.alphabet, frozenset(keep), d.initial,
-                             d.accepting & keep, transitions))
+    get, alphabet = transitions.get, d.alphabet
+    order = [-1] * n  # a live state's number, once the pass has met it
+    order[initial] = 0
+    queue = [initial]
+    kept: dict[tuple[int, str], int] = {}
+    for i, q in enumerate(queue):  # the queue grows as the pass goes
+        for sym in alphabet:
+            t = get((q, sym))
+            if t is not None and live[t]:
+                j = order[t]
+                if j < 0:
+                    j = order[t] = len(queue)
+                    queue.append(t)
+                kept[i, sym] = j
+    return Dfa(alphabet, frozenset(range(len(queue))), 0,
+               frozenset(order[q] for q in accepting if order[q] >= 0), kept)
 
 
 def product_intersect(a: Nfa, b: Nfa) -> Nfa:
@@ -999,59 +1026,63 @@ class Condensation:
 
 
 def condense(d: Dfa) -> Condensation:
-    succ: dict[int, list[int]] = {q: [] for q in d.states}
-    for (q, _), t in d.transitions.items():
+    """Tarjan's search on int lists over `_dense` ids, mapped back to d's
+    states at the end."""
+    _, _, transitions, names = _dense(d)
+    n = len(names)
+    succ: list[list[int]] = [[] for _ in range(n)]
+    looped = [False] * n  # a self-loop makes a one-state component nontrivial
+    for (q, _), t in transitions.items():
         succ[q].append(t)
+        if q == t:
+            looped[q] = True
 
-    index: dict[int, int] = {}
-    low: dict[int, int] = {}
-    on_stack: set[int] = set()
+    # index[q] is 0 until q is visited; a visited q is on the stack until
+    # its component is done
+    index = [0] * n
+    low = [0] * n
+    done = [False] * n
     stack: list[int] = []
-    components: list[frozenset[int]] = []
-    counter = 0
-
-    for root in d.states:
-        if root in index:
+    components: list[list[int]] = []
+    counter = 1
+    for root in range(n):
+        if index[root]:
             continue
-        work = [(root, 0)]
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        work = [(root, iter(succ[root]))]
         while work:
-            q, k = work[-1]
-            if k == 0:
-                index[q] = low[q] = counter
-                counter += 1
-                stack.append(q)
-                on_stack.add(q)
-            advanced = False
-            while k < len(succ[q]):
-                t = succ[q][k]
-                k += 1
-                if t not in index:
-                    work[-1] = (q, k)
-                    work.append((t, 0))
-                    advanced = True
+            q, edges = work[-1]
+            for t in edges:
+                if not index[t]:
+                    index[t] = low[t] = counter
+                    counter += 1
+                    stack.append(t)
+                    work.append((t, iter(succ[t])))
                     break
-                if t in on_stack:
-                    low[q] = min(low[q], index[t])
-            if advanced:
-                continue
-            work.pop()
-            if low[q] == index[q]:
-                comp = set()
-                while True:
-                    t = stack.pop()
-                    on_stack.discard(t)
-                    comp.add(t)
-                    if t == q:
-                        break
-                components.append(frozenset(comp))
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[q])
+                if not done[t] and index[t] < low[q]:
+                    low[q] = index[t]
+            else:
+                work.pop()
+                if low[q] == index[q]:
+                    members = []
+                    while True:
+                        t = stack.pop()
+                        done[t] = True
+                        members.append(t)
+                        if t == q:
+                            break
+                    components.append(members)
+                if work:
+                    p = work[-1][0]
+                    if low[q] < low[p]:
+                        low[p] = low[q]
 
+    # ids ascend with the state numbers, so the smallest id stands for the
+    # smallest member
     components.sort(key=min)
-    scc_of = {q: i for i, comp in enumerate(components) for q in comp}
-    internal = [False] * len(components)
-    for (q, _), t in d.transitions.items():
-        if scc_of[q] == scc_of[t]:
-            internal[scc_of[q]] = True
-    return Condensation(scc_of, tuple(components), tuple(internal))
+    return Condensation(
+        {names[q]: i for i, members in enumerate(components) for q in members},
+        tuple(frozenset(names[q] for q in members) for members in components),
+        tuple(len(members) > 1 or looped[members[0]] for members in components))

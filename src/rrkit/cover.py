@@ -11,10 +11,13 @@ prefix-incomparable cycles u and v the three codes are
     zero word  u v      one word  v u      stop word  u u s
 
 which are pairwise prefix-incomparable, so the dispatch trie is
-deterministic. Composing the surjection with the copy machine of the
-target language restricts the image to exactly that language.
+deterministic. `cover` runs the trie in step with a DFA r of the target
+language, one breadth-first pass over the reachable (trie node, r state)
+pairs: an edge that writes a letter exists only where r reads it, and a
+pair accepts only where the trie and r both accept. That restricts the
+image to exactly L(r).
 
-`cover` proves that composed image equal to the target before returning,
+`cover` proves that image equal to the target before returning,
 by the trie's right inverse e(w) = access · code(w) · u u s, where code(w)
 spells each letter's bits in zero and one words. Two deterministic walks
 decide it, with no image automaton and no subset search: (a) no reachable
@@ -29,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .automata import Dfa, separating_word, universal_dfa, widen_dfa
+from .automata import Dfa, separating_word, universal_dfa
 from .classify import (
     CertificateError,
     ClassificationMismatch,
@@ -38,7 +41,7 @@ from .classify import (
     classify,
     verify_witness,
 )
-from .transducer import Dfst, _feed, compose_dfst, identity_transducer, image_nfa
+from .transducer import Dfst, _feed, image_nfa
 
 
 @dataclass(frozen=True)
@@ -136,6 +139,45 @@ def _build_dispatch(plan: CoverPlan, access: str, in_alphabet) -> Dfst:
 
     return Dfst(tuple(in_alphabet), plan.letters, frozenset(ids.values()), ids[start],
                 frozenset({ids[accept]}), transitions, {})
+
+
+def _over_target(trie: Dfst, r: Dfa) -> Dfst:
+    """The dispatch trie run in step with r, over the reachable (trie node,
+    r state) pairs. An edge that writes nothing keeps r's state, one that
+    writes a letter exists only where r has that letter, and a pair accepts
+    where the trie node and the r state both accept. Pairs are numbered
+    breadth-first, over the input symbols in alphabet order.
+
+    The trie's nodes must be numbered 0..T-1, as `_build_dispatch` numbers
+    them; a pair is keyed by the int qr * T + qt."""
+    alphabet = trie.in_alphabet
+    size = len(trie.states)
+    trie_get, r_get = trie.transitions.get, r.transitions.get
+    edges = [[(sym, *edge) for sym in alphabet if (edge := trie_get((qt, sym)))]
+             for qt in range(size)]
+    trie_accepting, r_accepting = trie.accepting, r.accepting
+    ids = {r.initial * size + trie.initial: 0}
+    pairs = [(trie.initial, r.initial)]
+    accepting: list[int] = []
+    transitions: dict[tuple[int, str], tuple[str, int]] = {}
+    for i, (qt, qr) in enumerate(pairs):  # the queue grows as the pass goes
+        if qt in trie_accepting and qr in r_accepting:
+            accepting.append(i)
+        for sym, out, qt2 in edges[qt]:
+            if out:
+                qr2 = r_get((qr, out))
+                if qr2 is None:
+                    continue
+            else:
+                qr2 = qr
+            key = qr2 * size + qt2
+            j = ids.get(key)
+            if j is None:
+                j = ids[key] = len(pairs)
+                pairs.append((qt2, qr2))
+            transitions[i, sym] = (out, j)
+    return Dfst(alphabet, trie.out_alphabet, frozenset(range(len(pairs))), 0,
+                frozenset(accepting), transitions, {})
 
 
 def _image_within(t: Dfst, f: Dfa, r: Dfa) -> bool:
@@ -237,7 +279,8 @@ def surjection_to_star(f: Dfa, witness: HardnessWitness, letters) -> Dfst:
 
 def cover(f: Dfa, r: Dfa) -> Dfst:
     """Transducer mapping the hard filter f onto L(r): the dispatch trie of
-    f's witness composed with the copy machine of r.
+    f's witness run in step with r (`_over_target`), so it writes a word
+    only where r reads it.
 
     Before it is returned, its image over L(f) is proved equal to L(r) by
     two deterministic walks over the trie's right inverse (see the module
@@ -251,13 +294,12 @@ def cover(f: Dfa, r: Dfa) -> Dfst:
                                      verdict)
     letters = r.alphabet if r.alphabet else f.alphabet
     plan = plan_cover(verdict.witness, letters)
-    surjection = _build_dispatch(plan, verdict.witness.access, f.alphabet)
-    combined = compose_dfst(surjection, identity_transducer(widen_dfa(r, letters)))
-    if not _image_proved(combined, f, r, plan):
-        gap = cover_gap(combined, f, r)
+    t = _over_target(_build_dispatch(plan, verdict.witness.access, f.alphabet), r)
+    if not _image_proved(t, f, r, plan):
+        gap = cover_gap(t, f, r)
         if gap is not None:
             raise CertificateError(f"cover image differs from the target on {gap[0]!r}")
-    return combined
+    return t
 
 
 def cover_gap(t: Dfst, f: Dfa, r: Dfa) -> tuple[str, str] | None:

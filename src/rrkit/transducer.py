@@ -51,12 +51,13 @@ class Dfst:
             raise ValueError(f"initial state {self.initial} not a state")
         if not self.accepting <= self.states:
             raise ValueError("accepting states must be states")
+        states = self.states
         for (q, sym), (out, t) in self.transitions.items():
-            if q not in self.states or t not in self.states:
+            if q not in states or t not in states:
                 raise ValueError(f"transition {q}-{sym}->{t} leaves the state set")
             if sym not in in_alpha:
                 raise ValueError(f"input symbol {sym!r} not in input alphabet")
-            if not set(out) <= out_alpha:
+            if out and not out_alpha.issuperset(out):
                 raise ValueError(f"output {out!r} uses symbols outside the output alphabet")
         for q, out in self.final_output.items():
             if q not in self.accepting:
@@ -220,16 +221,6 @@ def image_nfa(t: Dfst, a: Dfa) -> Nfa:
             emit_path(i, out, node((qt2, qa2)), ("step", pair, sym))
     return Nfa(t.out_alphabet, frozenset(ids.values()), frozenset({start}),
                frozenset({sink}), tuple(triples))
-
-
-def identity_transducer(a: Dfa) -> Dfst:
-    """Copy machine defined exactly on L(a): each transition re-emits its
-    own input symbol."""
-    transitions = {
-        (q, sym): (sym, t) for (q, sym), t in a.transitions.items()
-    }
-    return Dfst(a.alphabet, a.alphabet, a.states, a.initial, a.accepting,
-                transitions, {})
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ the library's constructions, so they can serve as cross-checks."""
 import itertools
 import random
 import sys
+from collections import deque
 
 from rrkit import (
     EPS,
@@ -12,12 +13,14 @@ from rrkit import (
     BoundedExpr,
     CertificateError,
     ClassificationMismatch,
+    Condensation,
     Dfa,
     Dfst,
     Easy,
     Hard,
     HardnessWitness,
     Nfa,
+    canonical_dfa,
     canonical_nfa,
     classification_to_text,
     classify,
@@ -25,7 +28,7 @@ from rrkit import (
     compose_dfst,
     condense,
     determinize,
-    identity_transducer,
+    empty_dfa,
     image_nfa,
     merge_alphabets,
     normalize_witness,
@@ -653,6 +656,104 @@ def planted_hard_filter(rng: random.Random, n) -> Dfa:
 
 
 # ---------------------------------------------------------------------------
+# reference trim and condense: the library's versions before trim numbered
+# its states in its own pass and condense ran on int lists
+
+
+def _oracle_reachable(seeds, adjacency) -> set[int]:
+    seen = set(seeds)
+    queue = deque(seeds)
+    while queue:
+        q = queue.popleft()
+        for t in adjacency.get(q, ()):
+            if t not in seen:
+                seen.add(t)
+                queue.append(t)
+    return seen
+
+
+def oracle_trim(d: Dfa) -> Dfa:
+    """Keep exactly the states both reachable from the initial state and
+    co-reachable to an accepting one, renumbered canonically (certificates
+    name them); an empty language collapses to the canonical one-state
+    machine."""
+    fwd: dict[int, list[int]] = {}
+    back: dict[int, list[int]] = {}
+    for (q, _), t in d.transitions.items():
+        fwd.setdefault(q, []).append(t)
+        back.setdefault(t, []).append(q)
+    keep = _oracle_reachable({d.initial}, fwd) & _oracle_reachable(set(d.accepting), back)
+    if d.initial not in keep:
+        return empty_dfa(d.alphabet)
+    transitions = {
+        (q, sym): t
+        for (q, sym), t in d.transitions.items()
+        if q in keep and t in keep
+    }
+    return canonical_dfa(Dfa(d.alphabet, frozenset(keep), d.initial,
+                             d.accepting & keep, transitions))
+
+
+def oracle_condense(d: Dfa) -> Condensation:
+    succ: dict[int, list[int]] = {q: [] for q in d.states}
+    for (q, _), t in d.transitions.items():
+        succ[q].append(t)
+
+    index: dict[int, int] = {}
+    low: dict[int, int] = {}
+    on_stack: set[int] = set()
+    stack: list[int] = []
+    components: list[frozenset[int]] = []
+    counter = 0
+
+    for root in d.states:
+        if root in index:
+            continue
+        work = [(root, 0)]
+        while work:
+            q, k = work[-1]
+            if k == 0:
+                index[q] = low[q] = counter
+                counter += 1
+                stack.append(q)
+                on_stack.add(q)
+            advanced = False
+            while k < len(succ[q]):
+                t = succ[q][k]
+                k += 1
+                if t not in index:
+                    work[-1] = (q, k)
+                    work.append((t, 0))
+                    advanced = True
+                    break
+                if t in on_stack:
+                    low[q] = min(low[q], index[t])
+            if advanced:
+                continue
+            work.pop()
+            if low[q] == index[q]:
+                comp = set()
+                while True:
+                    t = stack.pop()
+                    on_stack.discard(t)
+                    comp.add(t)
+                    if t == q:
+                        break
+                components.append(frozenset(comp))
+            if work:
+                parent = work[-1][0]
+                low[parent] = min(low[parent], low[q])
+
+    components.sort(key=min)
+    scc_of = {q: i for i, comp in enumerate(components) for q in comp}
+    internal = [False] * len(components)
+    for (q, _), t in d.transitions.items():
+        if scc_of[q] == scc_of[t]:
+            internal[scc_of[q]] = True
+    return Condensation(scc_of, tuple(components), tuple(internal))
+
+
+# ---------------------------------------------------------------------------
 # reference cover and counter solver: the library's first versions, kept as
 # differential oracles
 
@@ -697,6 +798,16 @@ def oracle_surjection_to_star(f: Dfa, witness: HardnessWitness, letters) -> Dfst
         raise CertificateError(
             f"surjection image differs from the full language on {gap!r}")
     return t
+
+
+def identity_transducer(a: Dfa) -> Dfst:
+    """Copy machine defined exactly on L(a): each transition re-emits its
+    own input symbol."""
+    transitions = {
+        (q, sym): (sym, t) for (q, sym), t in a.transitions.items()
+    }
+    return Dfst(a.alphabet, a.alphabet, a.states, a.initial, a.accepting,
+                transitions, {})
 
 
 def oracle_cover(f: Dfa, r: Dfa) -> Dfst:

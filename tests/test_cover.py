@@ -1,9 +1,12 @@
 import importlib
 import random
+import sys
 
 import pytest
 
 from helpers import (
+    count_calls,
+    identity_transducer,
     oracle_cover,
     outcome,
     planted_hard_filter,
@@ -26,7 +29,6 @@ from rrkit import (
     dfst_to_text,
     empty_dfa,
     equivalent,
-    identity_transducer,
     image_nfa,
     parse_dfa,
     parse_dfst,
@@ -252,6 +254,50 @@ class TestCoverMatchesOracle:
         a_star = determinize(regex_to_nfa("a*"))
         assert outcome(cover, a_star, SIGMA_STAR) == outcome(oracle_cover, a_star, SIGMA_STAR)
 
+    @pytest.mark.parametrize("kind", ["partial", "unreachable states", "no accepting state",
+                                      "empty alphabet", "unused letter"])
+    def test_edge_case_targets(self, kind):
+        rng = random.Random(163)
+        filters = _hard_filters(rng)
+        for f in filters:
+            for _ in range(3):
+                r = _special_target(rng, kind)
+                got, want = cover(f, r), oracle_cover(f, r)
+                assert dfst_to_text(got) == dfst_to_text(want)
+                assert len(got.states) == len(want.states)
+
+
+def _special_target(rng, kind):
+    """A target DFA of the named kind, over {a, b, c} unless it has none."""
+    alphabet = ("a", "b", "c")
+    if kind == "empty alphabet":
+        # the cover then writes the filter's letters
+        return Dfa((), frozenset({0, 1}), 0, frozenset({rng.randrange(2)}), {})
+    r = random_dfa(rng, rng.randint(1, 6), alphabet,
+                   density=0.4 if kind == "partial" else 1.0)
+    states, transitions, accepting = set(r.states), dict(r.transitions), r.accepting
+    if kind == "unreachable states":
+        # two states that nothing enters; one accepts and leads back in
+        n = len(states)
+        states |= {n, n + 1}
+        transitions.update({(n, "a"): 0, (n, "b"): n + 1, (n + 1, "c"): n})
+        accepting |= {n}
+    elif kind == "no accepting state":
+        accepting = frozenset()
+    elif kind == "unused letter":
+        # `c` is one of the plan's letters, but r reads it nowhere
+        transitions = {edge: t for edge, t in transitions.items() if edge[1] != "c"}
+    return Dfa(alphabet, frozenset(states), r.initial, frozenset(accepting), transitions)
+
+
+def test_cover_builds_no_composition(monkeypatch):
+    calls = count_calls(monkeypatch, ["compose_dfst"])
+    f = planted_hard_filter(random.Random(167), 40)
+    cover(f, determinize(regex_to_nfa("c(a|b|c)*")))
+    assert calls == {"compose_dfst": 0}
+    assert not any(hasattr(module, "identity_transducer")
+                   for name, module in sys.modules.items() if name.startswith("rrkit"))
+
 
 class TestCoverChecksOnce:
     GUARDED = ("classify", "image_nfa", "surjection_to_star", "verify_cover")
@@ -303,18 +349,18 @@ class TestCoverChecksOnce:
         assert calls["classify"] == 1
 
     def test_wrong_composition_is_caught(self, monkeypatch):
-        # a composition that copies the filter instead of mapping it onto
+        # a construction that copies the filter instead of mapping it onto
         # (ab)*: its image is Σ*, and `a` is the first word outside (ab)*
-        monkeypatch.setattr(cover_module, "compose_dfst",
-                            lambda first, second: identity_transducer(SIGMA_STAR))
+        monkeypatch.setattr(cover_module, "_over_target",
+                            lambda trie, r: identity_transducer(SIGMA_STAR))
         target = determinize(regex_to_nfa("(ab)*"))
         with pytest.raises(CertificateError) as err:
             cover(SIGMA_STAR, target)
         assert str(err.value) == "cover image differs from the target on 'a'"
 
     def test_refused_cover_checks_once(self, calls, monkeypatch):
-        monkeypatch.setattr(cover_module, "compose_dfst",
-                            lambda first, second: identity_transducer(SIGMA_STAR))
+        monkeypatch.setattr(cover_module, "_over_target",
+                            lambda trie, r: identity_transducer(SIGMA_STAR))
         with pytest.raises(CertificateError):
             cover(SIGMA_STAR, determinize(regex_to_nfa("(ab)*")))
         assert calls == {**self.WANT, "image_nfa": 1}

@@ -14,6 +14,7 @@ import pytest
 
 import helpers
 from helpers import (
+    identity_transducer,
     oracle_cover,
     oracle_cover_gap,
     oracle_surjection_to_star,
@@ -32,7 +33,6 @@ from rrkit import (
     determinize,
     dfst_to_text,
     empty_dfa,
-    identity_transducer,
     plan_cover,
     regex_to_nfa,
     surjection_to_star,
@@ -216,7 +216,8 @@ def test_mutant_composition_refused_like_the_oracle(name, monkeypatch):
     def composing(first, second):
         return mutate(compose_dfst(first, second), plan)
 
-    monkeypatch.setattr(cover_module, "compose_dfst", composing)
+    build = cover_module._over_target
+    monkeypatch.setattr(cover_module, "_over_target", lambda trie, r: mutate(build(trie, r), plan))
     monkeypatch.setattr(helpers, "compose_dfst", composing)
     want = ("CertificateError", f"cover image differs from the target on {gap!r}")
     assert outcome(cover, f, target) == want
@@ -275,8 +276,8 @@ class TestExactCheckOnlyOnFailure:
         assert check_calls == {"image_nfa": 0, "separating_word": 0}
 
     def test_refused_cover_checks_once(self, check_calls, monkeypatch):
-        monkeypatch.setattr(cover_module, "compose_dfst",
-                            lambda first, second: identity_transducer(SIGMA_STAR))
+        monkeypatch.setattr(cover_module, "_over_target",
+                            lambda trie, r: identity_transducer(SIGMA_STAR))
         assert outcome(cover, SIGMA_STAR, AB_STAR) \
             == ("CertificateError", "cover image differs from the target on 'a'")
         assert check_calls == {"image_nfa": 1, "separating_word": 1}
@@ -289,13 +290,15 @@ class TestExactCheckOnlyOnFailure:
         plan = plan_cover(classify(f).witness, AB_STAR.alphabet)
         word = _code(plan, "a") + plan.zero_word[:2]
 
-        def composing(first, second):
-            t = compose_dfst(first, second)
+        build = cover_module._over_target
+
+        def building(trie, r):
+            t = build(trie, r)
             q = _state(t, plan, word)
             assert f.walk(f.initial, plan.witness.access + word) not in f.accepting
             return _replace(t, accepting=t.accepting | {q})
 
-        monkeypatch.setattr(cover_module, "compose_dfst", composing)
+        monkeypatch.setattr(cover_module, "_over_target", building)
         assert isinstance(cover(f, AB_STAR), Dfst)
         assert check_calls == {"image_nfa": 0, "separating_word": 0}
 
@@ -303,7 +306,7 @@ class TestExactCheckOnlyOnFailure:
         # the copy machine of Σ* maps Σ* onto Σ*, but not through the code
         # words: walk (b) fails and the exact check accepts it
         copier = identity_transducer(SIGMA_STAR)
-        monkeypatch.setattr(cover_module, "compose_dfst", lambda first, second: copier)
+        monkeypatch.setattr(cover_module, "_over_target", lambda trie, r: copier)
         plan = plan_cover(classify(SIGMA_STAR).witness, SIGMA_STAR.alphabet)
         assert cover_module._image_within(copier, SIGMA_STAR, SIGMA_STAR)
         assert not cover_module._inverse_reaches(copier, SIGMA_STAR, SIGMA_STAR, plan)

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     count_calls,
+    identity_transducer,
     oracle_cover_gap,
     oracle_inclusion_counterexample,
     oracle_separating_word,
@@ -30,7 +31,6 @@ from rrkit import (
     Nfa,
     cover_gap,
     dfa_to_text,
-    identity_transducer,
     inclusion_counterexample,
     nfa_to_text,
     regex_to_nfa,

@@ -7,6 +7,7 @@ from helpers import (
     count_calls,
     diamond_filter,
     enumerate_dfas,
+    identity_transducer,
     lang_upto,
     looped_chain,
     naive_nfa_accepts,
@@ -182,7 +183,7 @@ class TestBoundedSolverStack:
 
 class TestReduceRr:
     def test_identity_reduction_preserves_language(self):
-        from rrkit import identity_transducer, universal_dfa
+        from rrkit import universal_dfa
         t = identity_transducer(universal_dfa(("a", "b")))
         red = reduce_rr(t, AB_STAR)
         assert equivalent(red.to_nfa(), AB_STAR.to_nfa())
@@ -197,7 +198,7 @@ class TestReduceRr:
         assert (solve_rr(image_filter, AB_STAR) is None) == (solve_rr(filt, red) is None)
 
     def test_empty_input_machine(self):
-        from rrkit import empty_dfa, identity_transducer, universal_dfa
+        from rrkit import empty_dfa, universal_dfa
         t = identity_transducer(universal_dfa(("a",)))
         red = reduce_rr(t, empty_dfa(("a",)))
         assert lang_upto(red, 3) == set()

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from helpers import (
+    identity_transducer,
     image_member,
     lang_upto,
     naive_apply,
@@ -20,7 +21,6 @@ from rrkit import (
     compose_dfst,
     dfst_to_text,
     equivalent,
-    identity_transducer,
     image_nfa,
     parse_dfa,
     parse_dfst,
