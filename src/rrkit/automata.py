@@ -33,6 +33,7 @@ import math
 import sys
 from collections import deque
 from dataclasses import dataclass
+from itertools import chain, islice
 
 
 class FormatError(ValueError):
@@ -138,18 +139,20 @@ class Nfa:
 #   trans <src> <symbol|eps> <dst>
 
 
-def _logical_lines(text: str) -> list[tuple[int, list[str]]]:
-    """(line number, tokens) of each non-blank line, in one pass over the
-    text; only a line that contains `#` has its comment cut off. The
-    machine, transducer and graph parsers each make exactly one call."""
-    out = []
+def _logical_lines(text: str):
+    """Yield (line number, tokens) of each non-blank line, in one pass
+    over the text; only a line that contains `#` has its comment cut off.
+    The machine, transducer and graph parsers each make exactly one call:
+    they take their fixed header lines with `islice` and read the body
+    lines one at a time, so a large machine's lines are never all held at
+    once (thousands of live token lists would survive into the garbage
+    collector's oldest generation and bring on full collections)."""
     for no, raw in enumerate(text.splitlines(), start=1):
         if "#" in raw:
             raw = raw.partition("#")[0]
         toks = raw.split()
         if toks:
-            out.append((no, toks))
-    return out
+            yield no, toks
 
 
 def _section(lines, i, keyword):
@@ -220,15 +223,16 @@ def parse_nfa(text: str) -> Nfa:
 
 
 def _parse_dfa_lines(lines) -> Dfa:
-    no, rest = _section(lines, 0, "dfa")
+    head = list(islice(lines, 5))
+    no, rest = _section(head, 0, "dfa")
     if rest:
         raise FormatError("unexpected tokens after header", no)
-    alphabet, numerals, initials, accepting = _parse_common(lines)
+    alphabet, numerals, initials, accepting = _parse_common(head)
     if len(initials) != 1:
-        raise FormatError("a dfa needs exactly one initial state", lines[3][0])
+        raise FormatError("a dfa needs exactly one initial state", head[3][0])
     symbols = set(alphabet)
     transitions: dict[tuple[int, str], int] = {}
-    for no, toks in lines[5:]:
+    for no, toks in lines:
         if toks[0] != "trans":
             raise FormatError(f"unexpected `{toks[0]}`", no)
         if len(toks) != 4:
@@ -252,13 +256,14 @@ def _parse_dfa_lines(lines) -> Dfa:
 
 
 def _parse_nfa_lines(lines) -> Nfa:
-    no, rest = _section(lines, 0, "nfa")
+    head = list(islice(lines, 5))
+    no, rest = _section(head, 0, "nfa")
     if rest:
         raise FormatError("unexpected tokens after header", no)
-    alphabet, numerals, initials, accepting = _parse_common(lines)
+    alphabet, numerals, initials, accepting = _parse_common(head)
     symbols = set(alphabet)
     triples: list[tuple[int, str | None, int]] = []
-    for no, toks in lines[5:]:
+    for no, toks in lines:
         if toks[0] != "trans":
             raise FormatError(f"unexpected `{toks[0]}`", no)
         if len(toks) != 4:
@@ -297,14 +302,15 @@ def parse_automaton(text: str) -> Dfa | Nfa:
     text is tokenized once and the state numerals converted once, on the
     `states` line; every later state token is a lookup in that table."""
     lines = _logical_lines(text)
-    if not lines:
+    first = next(lines, None)
+    if first is None:
         raise FormatError("empty input")
-    head = lines[0][1][0]
+    head = first[1][0]
     if head == "dfa":
-        return _parse_dfa_lines(lines)
+        return _parse_dfa_lines(chain([first], lines))
     if head == "nfa":
-        return _parse_nfa_lines(lines)
-    raise FormatError(f"unknown header `{head}`", lines[0][0])
+        return _parse_nfa_lines(chain([first], lines))
+    raise FormatError(f"unknown header `{head}`", first[0])
 
 
 def _kw_line(keyword: str, items) -> str:
@@ -455,15 +461,29 @@ def run(d: Dfa, word: str) -> bool:
     return q in d.accepting
 
 
-def _index(n: Nfa) -> tuple[dict[int, list[int]], dict[tuple[int, str], list[int]]]:
-    """Epsilon adjacency and move table of an Nfa, in transition order."""
-    eps: dict[int, list[int]] = {}
-    moves: dict[tuple[int, str], list[int]] = {}
+def _index(n: Nfa) -> tuple[dict, dict]:
+    """Epsilon adjacency and move table of an Nfa, in transition order.
+
+    A key with one successor gets a 1-tuple and only a key with more gets
+    a list, so an index of a mostly deterministic machine is nearly all
+    tuples, which the garbage collector stops tracking: a list per key
+    is promoted to its oldest generation whenever a young collection runs
+    while the index is alive, and enough promotions bring on a full
+    collection."""
+    eps: dict = {}
+    moves: dict = {}
     for q, sym, t in n.transitions:
         if sym is EPS:
-            eps.setdefault(q, []).append(t)
+            table, key = eps, q
         else:
-            moves.setdefault((q, sym), []).append(t)
+            table, key = moves, (q, sym)
+        ts = table.get(key)
+        if ts is None:
+            table[key] = (t,)
+        elif type(ts) is tuple:
+            table[key] = [*ts, t]
+        else:
+            ts.append(t)
     return eps, moves
 
 

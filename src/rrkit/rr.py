@@ -13,6 +13,7 @@ instance whose answer is "yes" exactly when the target is reachable.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 from .automata import (
     EPS,
@@ -154,13 +155,14 @@ class Digraph:
 
 def parse_digraph(text: str) -> Digraph:
     lines = _logical_lines(text)
-    if not lines or lines[0][1] != ["graph"]:
-        raise FormatError("expected header `graph`", lines[0][0] if lines else None)
+    head = list(islice(lines, 4))
+    if not head or head[0][1] != ["graph"]:
+        raise FormatError("expected header `graph`", head[0][0] if head else None)
 
     def int_line(i, keyword):
-        if i >= len(lines):
+        if i >= len(head):
             raise FormatError(f"missing `{keyword}` line")
-        no, toks = lines[i]
+        no, toks = head[i]
         if toks[0] != keyword:
             raise FormatError(f"expected `{keyword}`, got `{toks[0]}`", no)
         if len(toks) != 2 or not _is_number(toks[1]):
@@ -171,7 +173,7 @@ def parse_digraph(text: str) -> Digraph:
     no, source = int_line(2, "source")
     no, target = int_line(3, "target")
     edges: list[tuple[int, int]] = []
-    for no, toks in lines[4:]:
+    for no, toks in lines:
         if toks[0] != "edge" or len(toks) != 3:
             raise FormatError("want `edge <from> <to>`", no)
         if not (_is_number(toks[1]) and _is_number(toks[2])):

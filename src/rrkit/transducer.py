@@ -15,6 +15,7 @@ yields the machine computing t2(t1(x)).
 from __future__ import annotations
 
 from collections import deque
+from itertools import islice
 from dataclasses import dataclass, field
 
 from .automata import (
@@ -238,27 +239,28 @@ def image_nfa(t: Dfst, a: Dfa) -> Nfa:
 
 def parse_dfst(text: str) -> Dfst:
     lines = _logical_lines(text)
-    no, rest = _section(lines, 0, "dfst")
+    head = list(islice(lines, 6))
+    no, rest = _section(head, 0, "dfst")
     if rest:
         raise FormatError("unexpected tokens after header", no)
-    no, toks = _section(lines, 1, "in_alphabet")
+    no, toks = _section(head, 1, "in_alphabet")
     in_alphabet = _parse_alphabet(toks, no)
-    no, toks = _section(lines, 2, "out_alphabet")
+    no, toks = _section(head, 2, "out_alphabet")
     out_alphabet = _parse_alphabet(toks, no)
-    no, toks = _section(lines, 3, "states")
+    no, toks = _section(head, 3, "states")
     numerals = _parse_state_list(toks, no)
-    no, toks = _section(lines, 4, "initial")
+    no, toks = _section(head, 4, "initial")
     if len(toks) != 1:
         raise FormatError("a dfst needs exactly one initial state", no)
     initial = _parse_state(toks[0], numerals, no)
-    no, toks = _section(lines, 5, "accept")
+    no, toks = _section(head, 5, "accept")
     accepting = {_parse_state(tok, numerals, no) for tok in toks}
 
     in_symbols = set(in_alphabet)
     out_symbols = set(out_alphabet)
     transitions: dict[tuple[int, str], tuple[str, int]] = {}
     final_output: dict[int, str] = {}
-    for no, toks in lines[6:]:
+    for no, toks in lines:
         if toks[0] == "trans":
             if len(toks) != 5:
                 raise FormatError("want `trans <src> <in-symbol> <out-word|-> <dst>`", no)

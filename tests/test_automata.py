@@ -39,6 +39,7 @@ from rrkit import (
     widen_dfa,
     widen_nfa,
 )
+from rrkit.automata import _index
 
 A_STAR = """dfa
 alphabet a
@@ -175,6 +176,23 @@ class TestDeterminize:
             d = determinize(n)
             for w in words_upto(n.alphabet, 6):
                 assert naive_dfa_accepts(d, w) == naive_nfa_accepts(n, w)
+
+
+class TestIndex:
+    def test_successors_in_transition_order(self):
+        rng = random.Random(11)
+        for n in range(1, 10):
+            m = random_nfa(rng, n, edge_count=4 * n)
+            want_eps, want_moves = {}, {}
+            for q, sym, t in m.transitions:
+                if sym is None:
+                    want_eps.setdefault(q, []).append(t)
+                else:
+                    want_moves.setdefault((q, sym), []).append(t)
+            for got, want in zip(_index(m), (want_eps, want_moves)):
+                assert {key: list(ts) for key, ts in got.items()} == want
+                # a lone successor is a tuple, which the collector untracks
+                assert all(type(ts) is tuple for ts in got.values() if len(ts) == 1)
 
 
 class TestTrim:
