@@ -416,24 +416,6 @@ def merge_alphabets(a, b) -> tuple[str, ...]:
     return left + tuple(s for s in b if s not in seen)
 
 
-def widen_dfa(d: Dfa, alphabet) -> Dfa:
-    alphabet = tuple(alphabet)
-    if not set(d.alphabet) <= set(alphabet):
-        raise AlphabetError("cannot widen: target alphabet drops symbols")
-    if alphabet == d.alphabet:
-        return d
-    return Dfa(alphabet, d.states, d.initial, d.accepting, dict(d.transitions))
-
-
-def widen_nfa(n: Nfa, alphabet) -> Nfa:
-    alphabet = tuple(alphabet)
-    if not set(n.alphabet) <= set(alphabet):
-        raise AlphabetError("cannot widen: target alphabet drops symbols")
-    if alphabet == n.alphabet:
-        return n
-    return Nfa(alphabet, n.states, n.initial, n.accepting, n.transitions)
-
-
 def empty_dfa(alphabet) -> Dfa:
     """Canonical machine for the empty language: one bare initial state."""
     return Dfa(tuple(alphabet), frozenset({0}), 0, frozenset(), {})

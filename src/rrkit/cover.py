@@ -157,10 +157,11 @@ def _over_target(trie: Dfst, r: Dfa) -> Dfst:
              for qt in range(size)]
     trie_accepting, r_accepting = trie.accepting, r.accepting
     ids = {r.initial * size + trie.initial: 0}
-    pairs = [(trie.initial, r.initial)]
+    nodes, r_states = [trie.initial], [r.initial]  # pair i is (nodes[i], r_states[i])
     accepting: list[int] = []
     transitions: dict[tuple[int, str], tuple[str, int]] = {}
-    for i, (qt, qr) in enumerate(pairs):  # the queue grows as the pass goes
+    for i, qt in enumerate(nodes):  # the queue grows as the pass goes
+        qr = r_states[i]
         if qt in trie_accepting and qr in r_accepting:
             accepting.append(i)
         for sym, out, qt2 in edges[qt]:
@@ -173,10 +174,11 @@ def _over_target(trie: Dfst, r: Dfa) -> Dfst:
             key = qr2 * size + qt2
             j = ids.get(key)
             if j is None:
-                j = ids[key] = len(pairs)
-                pairs.append((qt2, qr2))
+                j = ids[key] = len(nodes)
+                nodes.append(qt2)
+                r_states.append(qr2)
             transitions[i, sym] = (out, j)
-    return Dfst(alphabet, trie.out_alphabet, frozenset(range(len(pairs))), 0,
+    return Dfst(alphabet, trie.out_alphabet, frozenset(range(len(nodes))), 0,
                 frozenset(accepting), transitions, {})
 
 
@@ -185,29 +187,33 @@ def _image_within(t: Dfst, f: Dfa, r: Dfa) -> bool:
     states, r following t's output; a missing r transition is a dead,
     rejecting state (None), which is kept, not pruned. False when some
     triple has t and f accepting while r rejects after the final output."""
-    t_trans, f_trans, r_trans = t.transitions, f.transitions, r.transitions
-    t_accepting, f_accepting = t.accepting, f.accepting
+    t_get, f_get, r_get = t.transitions.get, f.transitions.get, r.transitions.get
+    t_accepting, f_accepting, r_accepting = t.accepting, f.accepting, r.accepting
+    final_output, alphabet = t.final_output, f.alphabet
     start = (t.initial, f.initial, r.initial)
     seen = {start}
     stack = [start]
+    see, push, pop = seen.add, stack.append, stack.pop
     while stack:
-        qt, qf, qr = stack.pop()
+        qt, qf, qr = pop()
         if qt in t_accepting and qf in f_accepting \
-                and r.walk(qr, t.final_output.get(qt, "")) not in r.accepting:
+                and r.walk(qr, final_output.get(qt, "")) not in r_accepting:
             return False
-        for sym in f.alphabet:
-            tr = t_trans.get((qt, sym))
-            qf2 = f_trans.get((qf, sym))
-            if tr is None or qf2 is None:
+        for sym in alphabet:
+            tr = t_get((qt, sym))
+            if tr is None:
+                continue
+            qf2 = f_get((qf, sym))
+            if qf2 is None:
                 continue
             out, qt2 = tr
             qr2 = qr
             for c in out:
-                qr2 = r_trans.get((qr2, c))  # (None, c) is no key: dead stays dead
+                qr2 = r_get((qr2, c))  # (None, c) is no key: dead stays dead
             triple = (qt2, qf2, qr2)
             if triple not in seen:
-                seen.add(triple)
-                stack.append(triple)
+                see(triple)
+                push(triple)
     return True
 
 

@@ -31,7 +31,6 @@ from .automata import (
     _parse_state_list,
     _section,
     word_from_text,
-    word_to_text,
 )
 
 
@@ -303,22 +302,62 @@ def parse_dfst(text: str) -> Dfst:
 
 def dfst_to_text(t: Dfst) -> str:
     """Text of t with its states renumbered in breadth-first order over
-    input symbols in alphabet order; unreachable states are dropped. Each
-    state's lines are written as it is dequeued, which is already the
-    sorted order."""
-    order = {t.initial: 0}
-    queue = deque([t.initial])
-    accepting: list[str] = []
+    input symbols in alphabet order; unreachable states are dropped.
+
+    One pass over t's transitions writes the lines as it checks that this
+    numbering is already t's own: states 0..n-1 with initial 0, every
+    transition listed by source and then by input symbol, each source
+    reached before it is left and each new destination the next number.
+    `cover` and `compose_dfst` number their states that way. Any other
+    machine, such as a parsed file, is first renumbered by a breadth-first
+    search and then written by the same pass."""
+    text = _canonical_text(t)
+    if text is None:
+        text = _canonical_text(_bfs_renumbered(t))
+    return text
+
+
+def _canonical_text(t: Dfst) -> str | None:
+    """The text of t when its numbering is the breadth-first one, else None."""
+    if t.initial != 0:
+        return None
+    rank = {sym: k for k, sym in enumerate(t.in_alphabet)}
+    width = len(rank)
+    last = -1
+    fresh = 1
     trans_lines: list[str] = []
-    final_lines: list[str] = []
-    while queue:
-        q = queue.popleft()
+    add = trans_lines.append
+    for (q, sym), (out, dst) in t.transitions.items():
+        key = q * width + rank[sym]
+        if key <= last or q >= fresh or dst > fresh:
+            return None
+        if dst == fresh:
+            fresh += 1
+        last = key
+        add(f"trans {q} {sym} {out or '-'} {dst}")
+    if fresh != len(t.states):
+        return None
+    lines = [
+        "dfst",
+        _kw_line("in_alphabet", t.in_alphabet),
+        _kw_line("out_alphabet", t.out_alphabet),
+        _kw_line("states", map(str, range(fresh))),
+        "initial 0",
+        _kw_line("accept", map(str, sorted(t.accepting))),
+        *trans_lines,
+        *(f"final {q} {out}" for q, out in sorted(t.final_output.items()) if out),
+    ]
+    return "\n".join(lines) + "\n"
+
+
+def _bfs_renumbered(t: Dfst) -> Dfst:
+    """t with its reachable states renumbered breadth-first over input
+    symbols in alphabet order, transitions listed in that order."""
+    order = {t.initial: 0}
+    queue = [t.initial]
+    transitions: dict[tuple[int, str], tuple[str, int]] = {}
+    for q in queue:  # the queue grows as the pass goes
         i = order[q]
-        if q in t.accepting:
-            accepting.append(str(i))
-            out = t.final_output.get(q)
-            if out:
-                final_lines.append(f"final {i} {word_to_text(out)}")
         for sym in t.in_alphabet:
             tr = t.transitions.get((q, sym))
             if tr is None:
@@ -328,15 +367,7 @@ def dfst_to_text(t: Dfst) -> str:
             if j is None:
                 j = order[dst] = len(order)
                 queue.append(dst)
-            trans_lines.append(f"trans {i} {sym} {word_to_text(out)} {j}")
-    lines = [
-        "dfst",
-        _kw_line("in_alphabet", t.in_alphabet),
-        _kw_line("out_alphabet", t.out_alphabet),
-        _kw_line("states", (str(q) for q in range(len(order)))),
-        "initial 0",
-        _kw_line("accept", accepting),
-        *trans_lines,
-        *final_lines,
-    ]
-    return "\n".join(lines) + "\n"
+            transitions[i, sym] = (out, j)
+    return Dfst(t.in_alphabet, t.out_alphabet, frozenset(range(len(order))), 0,
+                frozenset(order[q] for q in t.accepting if q in order), transitions,
+                {order[q]: out for q, out in t.final_output.items() if q in order})

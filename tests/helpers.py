@@ -41,14 +41,13 @@ from rrkit import (
     trim,
     universal_dfa,
     verify_witness,
-    widen_dfa,
-    widen_nfa,
 )
 from rrkit.automata import (
     FormatError,
     _closure,
     _index,
     _is_number,
+    _kw_line,
     _parse_alphabet,
     _section,
     _subset_step,
@@ -287,6 +286,26 @@ def random_dfst(rng: random.Random, n, in_alphabet=("a", "b"),
             final_output[q] = "".join(rng.choice(out_alphabet) for _ in range(length))
     return Dfst(tuple(in_alphabet), tuple(out_alphabet), frozenset(range(n)), 0,
                 accepting, trans, final_output)
+
+
+def widen_dfa(d: Dfa, alphabet) -> Dfa:
+    """d over a larger alphabet; the new symbols have no transitions."""
+    alphabet = tuple(alphabet)
+    if not set(d.alphabet) <= set(alphabet):
+        raise AlphabetError("cannot widen: target alphabet drops symbols")
+    if alphabet == d.alphabet:
+        return d
+    return Dfa(alphabet, d.states, d.initial, d.accepting, dict(d.transitions))
+
+
+def widen_nfa(n: Nfa, alphabet) -> Nfa:
+    """n over a larger alphabet; the new symbols have no transitions."""
+    alphabet = tuple(alphabet)
+    if not set(n.alphabet) <= set(alphabet):
+        raise AlphabetError("cannot widen: target alphabet drops symbols")
+    if alphabet == n.alphabet:
+        return n
+    return Nfa(alphabet, n.states, n.initial, n.accepting, n.transitions)
 
 
 # ---------------------------------------------------------------------------
@@ -758,7 +777,7 @@ def oracle_condense(d: Dfa) -> Condensation:
 # differential oracles
 
 
-def oracle_dfst_to_text(t: Dfst) -> str:
+def oracle_two_pass_dfst_to_text(t: Dfst) -> str:
     """Two-pass serializer: renumber breadth-first into a new machine, then
     print it with its state ids and transitions sorted."""
     order = {t.initial: 0}
@@ -785,6 +804,79 @@ def oracle_dfst_to_text(t: Dfst) -> str:
     lines += [f"trans {q} {sym} {word_to_text(out)} {dst}" for (q, sym), (out, dst) in transitions]
     lines += [f"final {q} {word_to_text(out)}" for q, out in final]
     return "\n".join(lines) + "\n"
+
+
+def oracle_dfst_to_text(t: Dfst) -> str:
+    """The breadth-first writer that `dfst_to_text` replaced by one pass:
+    text of t with its states renumbered in breadth-first order over
+    input symbols in alphabet order; unreachable states are dropped. Each
+    state's lines are written as it is dequeued, which is already the
+    sorted order."""
+    order = {t.initial: 0}
+    queue = deque([t.initial])
+    accepting: list[str] = []
+    trans_lines: list[str] = []
+    final_lines: list[str] = []
+    while queue:
+        q = queue.popleft()
+        i = order[q]
+        if q in t.accepting:
+            accepting.append(str(i))
+            out = t.final_output.get(q)
+            if out:
+                final_lines.append(f"final {i} {word_to_text(out)}")
+        for sym in t.in_alphabet:
+            tr = t.transitions.get((q, sym))
+            if tr is None:
+                continue
+            out, dst = tr
+            j = order.get(dst)
+            if j is None:
+                j = order[dst] = len(order)
+                queue.append(dst)
+            trans_lines.append(f"trans {i} {sym} {word_to_text(out)} {j}")
+    lines = [
+        "dfst",
+        _kw_line("in_alphabet", t.in_alphabet),
+        _kw_line("out_alphabet", t.out_alphabet),
+        _kw_line("states", (str(q) for q in range(len(order)))),
+        "initial 0",
+        _kw_line("accept", accepting),
+        *trans_lines,
+        *final_lines,
+    ]
+    return "\n".join(lines) + "\n"
+
+
+def oracle_image_within(t: Dfst, f: Dfa, r: Dfa) -> bool:
+    """`cover._image_within` before its lookups were cut: (a) image(t over f) ⊆ L(r). Walks the reachable triples of t, f and r
+    states, r following t's output; a missing r transition is a dead,
+    rejecting state (None), which is kept, not pruned. False when some
+    triple has t and f accepting while r rejects after the final output."""
+    t_trans, f_trans, r_trans = t.transitions, f.transitions, r.transitions
+    t_accepting, f_accepting = t.accepting, f.accepting
+    start = (t.initial, f.initial, r.initial)
+    seen = {start}
+    stack = [start]
+    while stack:
+        qt, qf, qr = stack.pop()
+        if qt in t_accepting and qf in f_accepting \
+                and r.walk(qr, t.final_output.get(qt, "")) not in r.accepting:
+            return False
+        for sym in f.alphabet:
+            tr = t_trans.get((qt, sym))
+            qf2 = f_trans.get((qf, sym))
+            if tr is None or qf2 is None:
+                continue
+            out, qt2 = tr
+            qr2 = qr
+            for c in out:
+                qr2 = r_trans.get((qr2, c))  # (None, c) is no key: dead stays dead
+            triple = (qt2, qf2, qr2)
+            if triple not in seen:
+                seen.add(triple)
+                stack.append(triple)
+    return True
 
 
 def oracle_surjection_to_star(f: Dfa, witness: HardnessWitness, letters) -> Dfst:

@@ -9,6 +9,8 @@ from helpers import (
     nfa_union,
     random_dfa,
     random_nfa,
+    widen_dfa,
+    widen_nfa,
     words_upto,
 )
 from rrkit import (
@@ -36,8 +38,6 @@ from rrkit import (
     shortest_word,
     trim,
     universal_dfa,
-    widen_dfa,
-    widen_nfa,
 )
 from rrkit.automata import _index
 

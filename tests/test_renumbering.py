@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from helpers import (
     count_calls,
     diamond_filter,
-    oracle_dfst_to_text,
+    oracle_two_pass_dfst_to_text,
     planted_hard_filter,
     ring_filter,
 )
@@ -122,7 +122,7 @@ class TestPrintedTextIgnoresNumbering:
     @given(relabelled_dfsts())
     def test_dfst_text_matches_two_pass_oracle(self, case):
         for t in case:
-            assert dfst_to_text(t) == oracle_dfst_to_text(t)
+            assert dfst_to_text(t) == oracle_two_pass_dfst_to_text(t)
 
     @PROPERTY
     @given(relabelled_dfas())
