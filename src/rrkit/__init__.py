@@ -15,8 +15,6 @@ from .automata import (
     determinize,
     dfa_to_text,
     empty_dfa,
-    equivalent,
-    includes,
     inclusion_counterexample,
     merge_alphabets,
     nfa_to_text,
@@ -46,8 +44,6 @@ from .classify import (
     classification_from_text,
     classification_to_text,
     classify,
-    decompose,
-    envelope,
     expr_to_nfa,
     normalize_witness,
     primitive_root,
@@ -61,7 +57,6 @@ from .rr import (
     reachability_gadget,
     reduce_rr,
     solve_rr,
-    solve_rr_bounded,
     solve_rr_bounded_detail,
     solve_rr_nfa,
 )

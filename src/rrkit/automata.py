@@ -12,8 +12,8 @@ canonical BFS discovery order; that makes the output byte-stable.
 Inclusion, equivalence and intersection are decided without building a
 product: `_pair_search` walks pairs of side states breadth-first, in
 alphabet order, and stops at the first pair of the wanted kind. Each side
-names its states by int ids: a Dfa its own state numbers, when they lie in
-[0, n] for n states, and otherwise ids in order of first reach; an Nfa its
+names its states by int ids: a Dfa the ids 0..n-1 that `_dense` gives its
+n states, the one rule `trim` and `condense` use too; an Nfa its
 epsilon-closed subsets, in order of first reach. Successors sit in
 per-symbol rows, `rows[k][i]` for the k-th symbol, filled in only when the
 walk first needs them, so a search that stops early reads only the
@@ -78,6 +78,8 @@ class Dfa:
 
     def __post_init__(self):
         alpha = set(self.alphabet)
+        if len(alpha) != len(self.alphabet):
+            raise ValueError(f"duplicate alphabet symbol in {self.alphabet}")
         if self.initial not in self.states:
             raise ValueError(f"initial state {self.initial} not a state")
         if not self.accepting <= self.states:
@@ -89,9 +91,6 @@ class Dfa:
             if sym not in alpha:
                 raise ValueError(f"transition symbol {sym!r} not in alphabet")
 
-    def step(self, q: int, sym: str) -> int | None:
-        return self.transitions.get((q, sym))
-
     def walk(self, q: int, word: str) -> int | None:
         """Follow `word` from state q; None once a transition is missing."""
         for c in word:
@@ -99,11 +98,6 @@ class Dfa:
             if q is None:
                 return None
         return q
-
-    def to_nfa(self) -> "Nfa":
-        triples = tuple((q, sym, t) for (q, sym), t in sorted(self.transitions.items()))
-        return Nfa(self.alphabet, self.states, frozenset({self.initial}),
-                   self.accepting, triples)
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,6 +112,8 @@ class Nfa:
 
     def __post_init__(self):
         alpha = set(self.alphabet)
+        if len(alpha) != len(self.alphabet):
+            raise ValueError(f"duplicate alphabet symbol in {self.alphabet}")
         if not (self.initial <= self.states and self.accepting <= self.states):
             raise ValueError("initial/accepting states must be states")
         for q, sym, t in self.transitions:
@@ -534,7 +530,9 @@ def _dense(d: Dfa):
     """(initial, accepting, transitions, names): d over states 0..n-1, where
     `names[i]` is the state that i stands for. A machine whose states are
     0..n-1 already is given as it is, with `names` range(n); any other
-    numbering goes through one id table, in ascending order of state."""
+    numbering goes through one id table, in ascending order of state. This
+    is the one numbering rule of `trim`, `condense` and the pair search's
+    Dfa sides."""
     n = len(d.states)
     if min(d.states) == 0 and max(d.states) == n - 1:
         return d.initial, d.accepting, d.transitions, range(n)
@@ -695,11 +693,7 @@ _LEFT = _Mode({(True, False): 0})
 _DIFF = _Mode({(True, False): 0, (False, True): 1})
 
 
-class _Renumber(Exception):
-    """Raised by a Dfa side that meets a state number it cannot use as an id."""
-
-
-def _side(m: Dfa | Nfa, alphabet, own_numbers: bool = True):
+def _side(m: Dfa | Nfa, alphabet):
     """One side of a pair search: (start, rows, miss, accepting, width).
 
     Side states are int ids, and -1 is the dead side that a missing
@@ -709,36 +703,24 @@ def _side(m: Dfa | Nfa, alphabet, own_numbers: bool = True):
     ends in the dead side's entry, so `rows[k][-1] == -1`. `accepting`
     holds the accepting ids, and every id is below `width - 1`.
 
-    A Dfa side with n states uses its state numbers as ids while they lie
-    in [0, n]. It then needs no id table, and each row has n + 2 slots. A
-    number outside that range raises `_Renumber`, and `_pair_search` asks
-    again with `own_numbers` False. An Nfa side, whose states are
-    epsilon-closed subsets, and a renumbered Dfa side number their states
-    in order of first reach. So memory never grows with the value of a
-    state numeral.
+    A Dfa side with n states takes its ids 0..n-1 from `_dense`, the rule
+    `trim` and `condense` use, so each row has n + 1 slots. An Nfa side,
+    whose states are epsilon-closed subsets, numbers them in order of
+    first reach. So memory never grows with the value of a state numeral.
     """
-    if isinstance(m, Dfa) and own_numbers:
-        get, accepting = m.transitions.get, m.accepting
-        cap = len(m.states) + 1
-        # an accepting state numbered -1, even one never reached, would
-        # make the dead side accept
-        if not 0 <= m.initial < cap or -1 in accepting:
-            raise _Renumber(m)
+    if isinstance(m, Dfa):
+        initial, accepting, transitions, _ = _dense(m)
+        get, n = transitions.get, len(m.states)
         rows = []
         for _ in alphabet:
-            row = [None] * (cap + 1)
-            row[cap] = -1
+            row = [None] * (n + 1)
+            row[n] = -1
             rows.append(row)
 
-        def miss(q, sym):
-            t = get((q, sym))
-            if t is None:
-                return -1
-            if 0 <= t < cap:
-                return t
-            raise _Renumber(m)
+        def miss(i, sym):
+            return get((i, sym), -1)
 
-        return m.initial, rows, miss, accepting, cap + 1
+        return initial, rows, miss, frozenset(accepting), n + 1
 
     ids: dict = {}
     names: list = []
@@ -754,18 +736,6 @@ def _side(m: Dfa | Nfa, alphabet, own_numbers: bool = True):
         if accepts:
             accepting_ids.add(i)
         return i
-
-    if isinstance(m, Dfa):
-        get, accepting = m.transitions.get, m.accepting
-
-        def miss(i, sym):
-            t = get((names[i], sym))
-            if t is None:
-                return -1
-            j = ids.get(t)
-            return fresh(t, t in accepting) if j is None else j
-
-        return fresh(m.initial, m.initial in accepting), rows, miss, accepting_ids, sys.maxsize
 
     eps, moves = _index(m)
     accepting = m.accepting
@@ -794,14 +764,7 @@ def _pair_search(a: Dfa | Nfa, b: Dfa | Nfa, alphabet, mode: _Mode) -> tuple[str
     wanted kind is reachable, because the side it needs accepting is dead,
     are not explored.
     """
-    own_a = own_b = True
-    while True:
-        try:
-            return _search(_side(a, alphabet, own_a), _side(b, alphabet, own_b),
-                           alphabet, mode)
-        except _Renumber as exc:
-            own_a = own_a and exc.args[0] is not a
-            own_b = own_b and exc.args[0] is not b
+    return _search(_side(a, alphabet), _side(b, alphabet), alphabet, mode)
 
 
 def _search(a_side, b_side, alphabet, mode: _Mode) -> tuple[str | None, ...]:
@@ -886,10 +849,6 @@ def inclusion_counterexample(sup: Dfa | Nfa, sub: Dfa | Nfa) -> str | None:
     return _pair_search(sub, sup, alpha, _LEFT)[0]
 
 
-def includes(sup: Dfa, sub: Nfa) -> bool:
-    return inclusion_counterexample(sup, sub) is None
-
-
 def separating_word(a: Dfa | Nfa, b: Dfa | Nfa) -> str | None:
     """Shortest word accepted by exactly one machine (None if equivalent).
 
@@ -905,10 +864,6 @@ def separating_word(a: Dfa | Nfa, b: Dfa | Nfa) -> str | None:
     if in_b is None:
         return in_a
     return min((in_a, in_b), key=lambda w: (len(w), w))
-
-
-def equivalent(a: Nfa, b: Nfa) -> bool:
-    return separating_word(a, b) is None
 
 
 # ---------------------------------------------------------------------------

@@ -126,7 +126,7 @@ def normalize_witness(u0: str, v0: str) -> tuple[str, str]:
 # hardness detection
 
 
-def _shortest_path_word(d: Dfa, starts, goals, within=None) -> str | None:
+def _shortest_path_word(d: Dfa, starts, goals) -> str | None:
     goals = set(goals)
     for q in sorted(starts):
         if q in goals:
@@ -138,8 +138,6 @@ def _shortest_path_word(d: Dfa, starts, goals, within=None) -> str | None:
         for sym in d.alphabet:
             t = d.transitions.get((q, sym))
             if t is None or t in seen:
-                continue
-            if within is not None and t not in within:
                 continue
             if t in goals:
                 return word + sym
@@ -169,8 +167,9 @@ def _shortest_cycle(d: Dfa, q: int, component) -> str:
 def _cycle_dfa(d: Dfa, q: int, component) -> Dfa:
     """All words looping at q while staying inside q's component: the
     component's own edges as a partial Dfa, started and accepted at q. It
-    keeps all of d's states, which the edges leave unreached, so that its
-    state numbers stay as dense as d's for the pair search."""
+    keeps all of d's states, which the edges leave unreached, so that
+    `_dense`, the pair search's one numbering rule, takes d's numbers as
+    they are."""
     transitions = {
         (src, sym): dst
         for (src, sym), dst in d.transitions.items()
@@ -478,24 +477,6 @@ def classify(f: Dfa) -> Classification:
     envelope_words = _envelope_of(exprs)
     verify_easy(ft, exprs, envelope_words)
     return Easy(exprs, envelope_words)
-
-
-def decompose(f: Dfa) -> tuple[BoundedExpr, ...]:
-    """Bounded decomposition of an easy filter; raises
-    ClassificationMismatch if the filter is hard."""
-    verdict = classify(f)
-    if isinstance(verdict, Hard):
-        raise ClassificationMismatch("filter is hard; it has no bounded decomposition",
-                                     verdict)
-    return verdict.decomposition
-
-
-def envelope(f: Dfa) -> tuple[str, ...]:
-    """Words w1..wn with L(f) ⊆ w1*...wn*, for an easy filter."""
-    verdict = classify(f)
-    if isinstance(verdict, Hard):
-        raise ClassificationMismatch("filter is hard; it is not a bounded language", verdict)
-    return verdict.envelope
 
 
 # ---------------------------------------------------------------------------

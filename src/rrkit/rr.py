@@ -115,12 +115,6 @@ def solve_rr_bounded_detail(exprs, a: Dfa):
     return None
 
 
-def solve_rr_bounded(exprs, a: Dfa) -> str | None:
-    """Witness word for a bounded-decomposition instance, or None."""
-    hit = solve_rr_bounded_detail(exprs, a)
-    return None if hit is None else hit[0]
-
-
 def reduce_rr(t: Dfst, a: Dfa) -> Dfa:
     """Rewrite an instance through a transducer: the returned machine
     accepts { x : t(x) ∈ L(a) }, so a filter F meets it exactly when the

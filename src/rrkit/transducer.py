@@ -47,6 +47,10 @@ class Dfst:
     def __post_init__(self):
         in_alpha = set(self.in_alphabet)
         out_alpha = set(self.out_alphabet)
+        if len(in_alpha) != len(self.in_alphabet):
+            raise ValueError(f"duplicate alphabet symbol in {self.in_alphabet}")
+        if len(out_alpha) != len(self.out_alphabet):
+            raise ValueError(f"duplicate alphabet symbol in {self.out_alphabet}")
         if self.initial not in self.states:
             raise ValueError(f"initial state {self.initial} not a state")
         if not self.accepting <= self.states:

@@ -288,6 +288,12 @@ def random_dfst(rng: random.Random, n, in_alphabet=("a", "b"),
                 accepting, trans, final_output)
 
 
+def dfa_as_nfa(d: Dfa) -> Nfa:
+    """d as an Nfa with the same states and transitions."""
+    triples = tuple((q, sym, t) for (q, sym), t in sorted(d.transitions.items()))
+    return Nfa(d.alphabet, d.states, frozenset({d.initial}), d.accepting, triples)
+
+
 def widen_dfa(d: Dfa, alphabet) -> Dfa:
     """d over a larger alphabet; the new symbols have no transitions."""
     alphabet = tuple(alphabet)
@@ -318,7 +324,7 @@ def oracle_inclusion_counterexample(sup: Dfa, sub: Nfa):
     """Shortest word of L(sub) outside L(sup), or None."""
     alpha = merge_alphabets(sup.alphabet, sub.alphabet)
     bad = product_intersect(widen_nfa(sub, alpha),
-                            complement(widen_dfa(sup, alpha)).to_nfa())
+                            dfa_as_nfa(complement(widen_dfa(sup, alpha))))
     return shortest_word(bad)
 
 
@@ -327,8 +333,8 @@ def oracle_separating_word(a: Nfa, b: Nfa):
     alpha = merge_alphabets(a.alphabet, b.alphabet)
     da = determinize(widen_nfa(a, alpha))
     db = determinize(widen_nfa(b, alpha))
-    in_a = oracle_inclusion_counterexample(db, da.to_nfa())
-    in_b = oracle_inclusion_counterexample(da, db.to_nfa())
+    in_a = oracle_inclusion_counterexample(db, dfa_as_nfa(da))
+    in_b = oracle_inclusion_counterexample(da, dfa_as_nfa(db))
     if in_a is None:
         return in_b
     if in_b is None:
@@ -339,8 +345,8 @@ def oracle_separating_word(a: Nfa, b: Nfa):
 def oracle_solve_rr(filter_dfa: Dfa, a: Dfa):
     """Shortest word in L(a) ∩ L(filter), or None."""
     alpha = merge_alphabets(filter_dfa.alphabet, a.alphabet)
-    meet = product_intersect(widen_dfa(filter_dfa, alpha).to_nfa(),
-                             widen_dfa(a, alpha).to_nfa())
+    meet = product_intersect(dfa_as_nfa(widen_dfa(filter_dfa, alpha)),
+                             dfa_as_nfa(widen_dfa(a, alpha)))
     return shortest_word(meet)
 
 
@@ -357,8 +363,8 @@ def oracle_cover_gap(t: Dfst, f: Dfa, r: Dfa):
     alpha = merge_alphabets(image.alphabet, r.alphabet)
     image_dfa = determinize(widen_nfa(image, alpha))
     target_dfa = widen_dfa(r, alpha)
-    extra = oracle_inclusion_counterexample(target_dfa, image_dfa.to_nfa())
-    missing = oracle_inclusion_counterexample(image_dfa, target_dfa.to_nfa())
+    extra = oracle_inclusion_counterexample(target_dfa, dfa_as_nfa(image_dfa))
+    missing = oracle_inclusion_counterexample(image_dfa, dfa_as_nfa(target_dfa))
     if extra is None and missing is None:
         return None
     if missing is None or (extra is not None and (len(extra), extra) <= (len(missing), missing)):
@@ -591,12 +597,12 @@ def oracle_verify_easy(f: Dfa, decomposition, envelope) -> None:
     """Decomposition equivalence, then envelope inclusion decided exactly by
     determinizing the envelope's star product."""
     alphabet = f.alphabet
-    gap = oracle_separating_word(oracle_union_nfa(decomposition, alphabet), f.to_nfa())
+    gap = oracle_separating_word(oracle_union_nfa(decomposition, alphabet), dfa_as_nfa(f))
     if gap is not None:
         raise CertificateError(
             f"decomposition differs from the filter on {word_to_text(gap)!r}")
     env_dfa = determinize(_oracle_star_product_nfa(envelope, alphabet))
-    leak = oracle_inclusion_counterexample(env_dfa, f.to_nfa())
+    leak = oracle_inclusion_counterexample(env_dfa, dfa_as_nfa(f))
     if leak is not None:
         raise CertificateError(
             f"envelope star product misses the filter word {word_to_text(leak)!r}")
@@ -912,7 +918,7 @@ def oracle_cover(f: Dfa, r: Dfa) -> Dfst:
     surjection = oracle_surjection_to_star(f, verdict.witness, letters)
     copier = identity_transducer(widen_dfa(r, letters))
     combined = compose_dfst(surjection, copier)
-    gap = separating_word(image_nfa(combined, f), r.to_nfa())
+    gap = separating_word(image_nfa(combined, f), dfa_as_nfa(r))
     if gap is not None:
         raise CertificateError(f"cover image differs from the target on {gap!r}")
     return combined

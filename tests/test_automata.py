@@ -3,6 +3,7 @@ import random
 import pytest
 
 from helpers import (
+    dfa_as_nfa,
     lang_upto,
     naive_dfa_accepts,
     naive_nfa_accepts,
@@ -15,15 +16,15 @@ from helpers import (
 )
 from rrkit import (
     AlphabetError,
+    Dfa,
     FormatError,
+    Nfa,
     canonical_dfa,
     complement,
     condense,
     determinize,
     dfa_to_text,
     empty_dfa,
-    equivalent,
-    includes,
     inclusion_counterexample,
     merge_alphabets,
     nfa_to_text,
@@ -61,6 +62,23 @@ trans 1 b 0
 
 def make(text):
     return parse_automaton(text)
+
+
+class TestConstructors:
+    """A repeated alphabet symbol is refused, as every parser refuses it,
+    so no writer prints text that cannot be read back."""
+
+    def test_dfa_rejects_repeated_symbol(self):
+        with pytest.raises(ValueError, match="duplicate alphabet symbol"):
+            Dfa(("a", "b", "a"), frozenset({0}), 0, frozenset({0}), {(0, "a"): 0})
+        with pytest.raises(FormatError, match="duplicate alphabet symbol"):
+            parse_dfa("dfa\nalphabet a b a\nstates 0\ninitial 0\naccept 0\n")
+
+    def test_nfa_rejects_repeated_symbol(self):
+        with pytest.raises(ValueError, match="duplicate alphabet symbol"):
+            Nfa(("a", "a"), frozenset({0}), frozenset({0}), frozenset({0}), ((0, "a", 0),))
+        with pytest.raises(FormatError, match="duplicate alphabet symbol"):
+            parse_nfa("nfa\nalphabet a a\nstates 0\ninitial 0\naccept 0\n")
 
 
 class TestParseDfa:
@@ -153,7 +171,7 @@ class TestRegex:
 class TestDeterminize:
     def test_preserves_alternation(self):
         n = regex_to_nfa("a|b")
-        assert equivalent(determinize(n).to_nfa(), regex_to_nfa("a|b"))
+        assert separating_word(dfa_as_nfa(determinize(n)), regex_to_nfa("a|b")) is None
 
     def test_eps_only_machine(self):
         n = parse_nfa("nfa\nalphabet a\nstates 0 1\ninitial 0\naccept 1\ntrans 0 eps 1\n")
@@ -202,7 +220,7 @@ class TestTrim:
             "trans 0 a 0\ntrans 1 a 0\n")
         t = trim(d)
         assert t.states == frozenset({0})
-        assert equivalent(t.to_nfa(), d.to_nfa())
+        assert separating_word(dfa_as_nfa(t), dfa_as_nfa(d)) is None
 
     def test_empty_language_collapses(self):
         d = parse_dfa("dfa\nalphabet a\nstates 0 1\ninitial 0\naccept 1\ntrans 0 a 0\n")
@@ -216,7 +234,7 @@ class TestTrim:
         for _ in range(30):
             d = random_dfa(rng, 5)
             t = trim(d)
-            assert equivalent(t.to_nfa(), d.to_nfa())
+            assert separating_word(dfa_as_nfa(t), dfa_as_nfa(d)) is None
             fwd, back = {}, {}
             for (q, _), dst in t.transitions.items():
                 fwd.setdefault(q, set()).add(dst)
@@ -240,8 +258,8 @@ class TestTrim:
 
 class TestProductIntersect:
     def test_disjoint_loops_meet_at_epsilon(self):
-        a = widen_nfa(parse_automaton(A_STAR).to_nfa(), ("a", "b"))
-        b = widen_nfa(determinize(regex_to_nfa("b*")).to_nfa(), ("a", "b"))
+        a = widen_nfa(dfa_as_nfa(parse_automaton(A_STAR)), ("a", "b"))
+        b = widen_nfa(dfa_as_nfa(determinize(regex_to_nfa("b*"))), ("a", "b"))
         meet = product_intersect(a, b)
         assert lang_upto(meet, 3) == {""}
 
@@ -256,7 +274,7 @@ class TestProductIntersect:
 
     def test_empty_side_kills_product(self):
         x = regex_to_nfa("(a|b)*")
-        nothing = widen_nfa(empty_dfa(("a", "b")).to_nfa(), ("a", "b"))
+        nothing = widen_nfa(dfa_as_nfa(empty_dfa(("a", "b"))), ("a", "b"))
         assert shortest_word(product_intersect(x, nothing)) is None
 
     def test_alphabet_mismatch_raises(self):
@@ -266,13 +284,13 @@ class TestProductIntersect:
 
 class TestShortestWord:
     def test_initial_accepting_gives_epsilon(self):
-        assert shortest_word(parse_dfa(AB_STAR).to_nfa()) == ""
+        assert shortest_word(dfa_as_nfa(parse_dfa(AB_STAR))) == ""
 
     def test_bfs_finds_ab(self):
         assert shortest_word(regex_to_nfa("a(a|b)*b")) == "ab"
 
     def test_empty_language(self):
-        assert shortest_word(empty_dfa(("a",)).to_nfa()) is None
+        assert shortest_word(dfa_as_nfa(empty_dfa(("a",)))) is None
 
     def test_is_shortest_and_lex_least(self):
         rng = random.Random(3)
@@ -297,7 +315,7 @@ class TestComplement:
         rng = random.Random(5)
         for _ in range(20):
             d = random_dfa(rng, 4)
-            assert equivalent(complement(complement(d)).to_nfa(), d.to_nfa())
+            assert separating_word(dfa_as_nfa(complement(complement(d))), dfa_as_nfa(d)) is None
 
     def test_ab_star_complement_members(self):
         c = complement(parse_dfa(AB_STAR))
@@ -318,7 +336,7 @@ class TestComplement:
 class TestIncludesEquivalent:
     def test_word_in_star_product(self):
         sup = determinize(regex_to_nfa("a*b*"))
-        assert includes(sup, regex_to_nfa("ab"))
+        assert inclusion_counterexample(sup, regex_to_nfa("ab")) is None
 
     def test_counterexample_is_shortest(self):
         sup = determinize(regex_to_nfa("(ab)*"))
@@ -327,20 +345,20 @@ class TestIncludesEquivalent:
     def test_empty_language_always_included(self):
         rng = random.Random(1)
         d = random_dfa(rng, 3)
-        assert includes(d, empty_dfa(d.alphabet).to_nfa())
+        assert inclusion_counterexample(d, dfa_as_nfa(empty_dfa(d.alphabet))) is None
 
     def test_equivalence_of_regex_and_determinization(self):
         n = regex_to_nfa("(ab)*")
-        assert equivalent(n, determinize(n).to_nfa())
+        assert separating_word(n, dfa_as_nfa(determinize(n))) is None
 
     def test_separator_found(self):
         a = regex_to_nfa("a*")
         b = regex_to_nfa("a*b*")
-        assert not equivalent(a, b)
+        assert separating_word(a, b) is not None
         assert separating_word(a, b) == "b"
 
     def test_empty_vs_epsilon(self):
-        assert separating_word(empty_dfa(()).to_nfa(), regex_to_nfa("")) == ""
+        assert separating_word(dfa_as_nfa(empty_dfa(())), regex_to_nfa("")) == ""
 
     def test_separator_accepted_by_exactly_one(self):
         rng = random.Random(13)
@@ -360,8 +378,8 @@ class TestIncludesEquivalent:
         for _ in range(10):
             a = random_nfa(rng, 3)
             b = random_nfa(rng, 3)
-            assert equivalent(a, a)
-            assert equivalent(a, b) == equivalent(b, a)
+            assert separating_word(a, a) is None
+            assert (separating_word(a, b) is None) == (separating_word(b, a) is None)
 
 
 class TestCondense:
@@ -417,7 +435,7 @@ class TestCanonicalAndText:
             d = random_dfa(rng, 4)
             text = dfa_to_text(d)
             again = parse_dfa(text)
-            assert equivalent(d.to_nfa(), again.to_nfa())
+            assert separating_word(dfa_as_nfa(d), dfa_as_nfa(again)) is None
             assert dfa_to_text(again) == text
 
     def test_nfa_round_trip(self):
@@ -426,7 +444,7 @@ class TestCanonicalAndText:
             n = random_nfa(rng, 4)
             text = nfa_to_text(n)
             again = parse_nfa(text)
-            assert equivalent(n, again)
+            assert separating_word(n, again) is None
             assert nfa_to_text(again) == text
 
     def test_canonical_reindexes_from_zero(self):

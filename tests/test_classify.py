@@ -4,6 +4,7 @@ import re
 import pytest
 
 from helpers import (
+    dfa_as_nfa,
     lang_upto,
     nfa_union,
     oracle_noncommuting_cycles,
@@ -14,7 +15,6 @@ from helpers import (
 from rrkit import (
     BoundedExpr,
     CertificateError,
-    ClassificationMismatch,
     Dfa,
     Easy,
     Hard,
@@ -22,17 +22,15 @@ from rrkit import (
     classification_from_text,
     classification_to_text,
     classify,
-    decompose,
     determinize,
     empty_dfa,
-    envelope,
-    equivalent,
     expr_to_nfa,
     normalize_witness,
     parse_dfa,
     primitive_root,
     regex_to_nfa,
     run_nfa,
+    separating_word,
     trim,
     universal_dfa,
     verify_easy,
@@ -193,9 +191,9 @@ class TestCertificateSoundness:
             union = nfa_union(
                 [expr_to_nfa(e, d.alphabet) for e in verdict.decomposition],
                 d.alphabet)
-            assert equivalent(union, d.to_nfa())
+            assert separating_word(union, dfa_as_nfa(d)) is None
             for w in words_upto(d.alphabet, 4):
-                in_lang = run_nfa(d.to_nfa(), w)
+                in_lang = run_nfa(dfa_as_nfa(d), w)
                 in_union = run_nfa(union, w) if union.states else False
                 assert in_lang == in_union
 
@@ -245,21 +243,15 @@ class TestLongWalks:
 
 
 class TestDecomposeEnvelope:
-    def test_hard_filter_refused(self):
-        for fn in (decompose, envelope):
-            with pytest.raises(ClassificationMismatch) as err:
-                fn(SIGMA_STAR)
-            assert err.value.verdict == classify(SIGMA_STAR)
-
     def test_finite_language_gives_loop_free_exprs(self):
         d = determinize(regex_to_nfa("ab|ba"))
-        exprs = decompose(d)
+        exprs = classify(d).decomposition
         assert sorted(e.prefix for e in exprs) == ["ab", "ba"]
         assert all(e.blocks == () for e in exprs)
 
     def test_envelope_star_product_includes_language(self):
         d = determinize(regex_to_nfa("ab|aab"))
-        words = envelope(d)
+        words = classify(d).envelope
         # letter-wise inclusion, checked by hand against both members
         remaining = {"ab", "aab"}
         for target in list(remaining):

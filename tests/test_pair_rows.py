@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    dfa_as_nfa,
     oracle_inclusion_counterexample,
     oracle_pair_search,
     oracle_separating_word,
@@ -307,9 +308,10 @@ class TestSparseNumerals:
             other = random_dfa(rng, rng.randint(1, 8), rng.choice(ALPHABETS), density=0.7)
             for a, b in ((sparse, other), (other, sparse)):
                 assert solve_rr(a, b) == oracle_solve_rr(a, b)
-                assert separating_word(a, b) == oracle_separating_word(a.to_nfa(), b.to_nfa())
+                assert separating_word(a, b) == oracle_separating_word(dfa_as_nfa(a),
+                                                                       dfa_as_nfa(b))
                 assert inclusion_counterexample(a, b) == \
-                    oracle_inclusion_counterexample(a, b.to_nfa())
+                    oracle_inclusion_counterexample(a, dfa_as_nfa(b))
                 _agree(a, b, merge_alphabets(a.alphabet, b.alphabet))
 
     def test_parsed_300_digit_numerals(self, tmp_path):
@@ -326,9 +328,10 @@ class TestSparseNumerals:
             pa, pb = parse_dfa(texts["a"]), parse_dfa(texts["b"])
             assert max(pa.states, default=0) > 10**298
             assert solve_rr(pa, pb) == oracle_solve_rr(pa, pb) == solve_rr(a, b)
-            assert separating_word(pa, pb) == oracle_separating_word(pa.to_nfa(), pb.to_nfa())
+            assert separating_word(pa, pb) == oracle_separating_word(dfa_as_nfa(pa),
+                                                                     dfa_as_nfa(pb))
             assert inclusion_counterexample(pa, pb) == \
-                oracle_inclusion_counterexample(pa, pb.to_nfa())
+                oracle_inclusion_counterexample(pa, dfa_as_nfa(pb))
             _agree(pa, pb, ("a", "b"))
             for cmd in ("solve", "equiv"):
                 far = _cli([cmd, str(tmp_path / "a"), str(tmp_path / "b")])

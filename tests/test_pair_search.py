@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     count_calls,
+    dfa_as_nfa,
     identity_transducer,
     oracle_cover_gap,
     oracle_inclusion_counterexample,
@@ -110,7 +111,7 @@ class TestAgreesWithOracle:
             assert separating_word(a, b) == oracle_separating_word(a, b)
             # languages that do agree: a machine against its own DFA form
             da = _dfa(rng, left)
-            assert separating_word(da.to_nfa(), b) == oracle_separating_word(da.to_nfa(), b)
+            assert separating_word(dfa_as_nfa(da), b) == oracle_separating_word(dfa_as_nfa(da), b)
             assert separating_word(a, a) is None
 
     def test_cover_gap(self, left, right):
@@ -158,7 +159,7 @@ class TestPinned:
         assert solve_rr_nfa(with_eps, with_eps) == ""
 
     def test_both_sides_empty(self):
-        assert separating_word(EMPTY_NFA, EMPTY_DFA.to_nfa()) is None
+        assert separating_word(EMPTY_NFA, dfa_as_nfa(EMPTY_DFA)) is None
         assert separating_word(EMPTY_NFA, EMPTY_NFA) is None
         assert inclusion_counterexample(EMPTY_DFA, EMPTY_NFA) is None
         assert solve_rr(EMPTY_DFA, EMPTY_DFA) is None
@@ -277,8 +278,8 @@ class TestNoProductBuilt:
         rng = random.Random(127)
         a, b = random_dfa(rng, 150), random_dfa(rng, 150)
         solve_rr(a, b)
-        separating_word(a.to_nfa(), b.to_nfa())
-        inclusion_counterexample(a, b.to_nfa())
+        separating_word(dfa_as_nfa(a), dfa_as_nfa(b))
+        inclusion_counterexample(a, dfa_as_nfa(b))
         # the image machine itself is built by the transducer module,
         # whose bindings are not counted
         cover_gap(identity_transducer(a), a, b)
@@ -321,7 +322,7 @@ def filter_files(draw):
     if kind == "regex":
         return draw(st.text(alphabet="abc()|*", max_size=10)) + "\n", ["--regex"], None
     m = draw(dfas() if kind == "dfa" else nfas())
-    return _text(m), [], m.to_nfa() if isinstance(m, Dfa) else m
+    return _text(m), [], dfa_as_nfa(m) if isinstance(m, Dfa) else m
 
 
 class TestSolveCli:
@@ -339,7 +340,7 @@ class TestSolveCli:
             return
         if f is None:
             f = regex_to_nfa(text.strip())
-        want = oracle_solve_rr_nfa(f, a.to_nfa() if isinstance(a, Dfa) else a)
+        want = oracle_solve_rr_nfa(f, dfa_as_nfa(a) if isinstance(a, Dfa) else a)
         assert plain == (0, "NO\n" if want is None else f"YES {word_to_text(want)}\n", "")
 
     def test_solve_makes_no_dfa(self, tmp_path, monkeypatch):

@@ -5,6 +5,7 @@ import pytest
 from helpers import (
     bfs_reachable_oracle,
     count_calls,
+    dfa_as_nfa,
     diamond_filter,
     enumerate_dfas,
     identity_transducer,
@@ -24,11 +25,9 @@ from rrkit import (
     Easy,
     FormatError,
     classify,
-    decompose,
     determinize,
     dfa_to_text,
     dfst_to_text,
-    equivalent,
     image_nfa,
     parse_dfa,
     parse_dfst,
@@ -38,8 +37,8 @@ from rrkit import (
     regex_to_nfa,
     run,
     run_nfa,
+    separating_word,
     solve_rr,
-    solve_rr_bounded,
     solve_rr_bounded_detail,
     solve_rr_nfa,
     universal_dfa,
@@ -97,13 +96,12 @@ class TestSolveRrNfa:
 
     def test_empty_filter(self):
         from rrkit import empty_dfa
-        filt = empty_dfa(("a",)).to_nfa()
+        filt = dfa_as_nfa(empty_dfa(("a",)))
         assert solve_rr_nfa(filt, regex_to_nfa("a*")) is None
 
 
 class TestSolveRrBounded:
     def test_epsilon_witness(self):
-        assert solve_rr_bounded(CANONICAL_BLOCKS, AB_STAR) == ""
         hit = solve_rr_bounded_detail(CANONICAL_BLOCKS, AB_STAR)
         assert hit == ("", 0, [0, 0])
 
@@ -113,10 +111,11 @@ class TestSolveRrBounded:
         assert hit == ("aab", 0, [2, 1])
 
     def test_agrees_with_product_solver_exhaustively(self):
-        exprs = decompose(A_STAR_B_STAR)
+        exprs = classify(A_STAR_B_STAR).decomposition
         for n in (1, 2, 3):
             for a in enumerate_dfas(n):
-                got = solve_rr_bounded(exprs, a)
+                hit = solve_rr_bounded_detail(exprs, a)
+                got = None if hit is None else hit[0]
                 want = solve_rr(A_STAR_B_STAR, a)
                 assert (got is None) == (want is None)
                 if got is not None:
@@ -124,11 +123,11 @@ class TestSolveRrBounded:
 
     def test_empty_loop_rejected(self):
         with pytest.raises(ValueError):
-            solve_rr_bounded((BoundedExpr("", (("", "a"),)),), AB_STAR)
+            solve_rr_bounded_detail((BoundedExpr("", (("", "a"),)),), AB_STAR)
 
     def test_expression_symbols_outside_machine(self):
         exprs = (BoundedExpr("", (("c", ""),)),)  # loops on a foreign symbol
-        assert solve_rr_bounded(exprs, AB_STAR) == ""
+        assert solve_rr_bounded_detail(exprs, AB_STAR)[0] == ""
 
 
 def _easy_decompositions(rng):
@@ -139,8 +138,8 @@ def _easy_decompositions(rng):
         verdict = classify(random_dfa(rng, rng.randint(2, 7), density=0.5))
         if isinstance(verdict, Easy) and verdict.decomposition:
             found.append(verdict.decomposition)
-    found += [decompose(diamond_filter(3, loop_at=(i, i % 2))) for i in range(3)]
-    found += [decompose(looped_chain(n)) for n in (1, 2, 5, 9)]
+    found += [classify(diamond_filter(3, loop_at=(i, i % 2))).decomposition for i in range(3)]
+    found += [classify(looped_chain(n)).decomposition for n in (1, 2, 5, 9)]
     return found
 
 
@@ -164,12 +163,12 @@ class TestBoundedSolverStack:
         # block 2 after `abb`, it accepts
         a = parse_dfa("dfa\nalphabet a b\nstates 0 1 2\ninitial 0\naccept 1\n"
                       "trans 0 a 1\ntrans 0 b 1\ntrans 1 b 2\ntrans 2 b 1\n")
-        exprs = decompose(looped_chain(3))
+        exprs = classify(looped_chain(3)).decomposition
         assert solve_rr_bounded_detail(exprs, a) == ("abb", 0, [1, 0, 0])
         assert oracle_solve_rr_bounded_detail(exprs, a) == ("abb", 0, [1, 0, 0])
 
     def test_deep_decomposition(self):
-        exprs = decompose(looped_chain(1101))
+        exprs = classify(looped_chain(1101)).decomposition
         assert len(exprs) == 1 and len(exprs[0].blocks) == 1101
         hit = solve_rr_bounded_detail(exprs, universal_dfa(("a", "b")))
         assert hit == ("b" * 1100, 0, [0] * 1101)
@@ -178,7 +177,7 @@ class TestBoundedSolverStack:
         # an odd number of b's: the chain's words all have 1100
         odd_b = parse_dfa("dfa\nalphabet a b\nstates 0 1\ninitial 0\naccept 1\n"
                           "trans 0 a 0\ntrans 0 b 1\ntrans 1 a 1\ntrans 1 b 0\n")
-        assert solve_rr_bounded_detail(decompose(looped_chain(1101)), odd_b) is None
+        assert solve_rr_bounded_detail(classify(looped_chain(1101)).decomposition, odd_b) is None
 
 
 class TestReduceRr:
@@ -186,13 +185,13 @@ class TestReduceRr:
         from rrkit import universal_dfa
         t = identity_transducer(universal_dfa(("a", "b")))
         red = reduce_rr(t, AB_STAR)
-        assert equivalent(red.to_nfa(), AB_STAR.to_nfa())
+        assert separating_word(dfa_as_nfa(red), dfa_as_nfa(AB_STAR)) is None
 
     def test_expanding_rewriter(self):
         t = Dfst(("a",), ("a", "b"), frozenset({0}), 0, frozenset({0}),
                  {(0, "a"): ("ab", 0)}, {})
         red = reduce_rr(t, AB_STAR)
-        assert equivalent(red.to_nfa(), regex_to_nfa("a*"))
+        assert separating_word(dfa_as_nfa(red), regex_to_nfa("a*")) is None
         filt = determinize(regex_to_nfa("a*"))
         image_filter = determinize(image_nfa(t, filt))
         assert (solve_rr(image_filter, AB_STAR) is None) == (solve_rr(filt, red) is None)
