@@ -43,6 +43,7 @@ from .automata import (
     FormatError,
     Nfa,
     _is_number,
+    _logical_lines,
     condense,
     inclusion_counterexample,
     separating_word,
@@ -510,13 +511,10 @@ def _field(tok: str, key: str, no: int) -> str:
 
 
 def classification_from_text(text: str) -> Classification:
-    lines = [(no, raw.split("#", 1)[0].strip())
-             for no, raw in enumerate(text.splitlines(), start=1)]
-    lines = [(no, body) for no, body in lines if body]
-    if not lines:
+    lines = _logical_lines(text)
+    no, toks = next(lines, (None, None))
+    if toks is None:
         raise FormatError("empty certificate")
-    no, head = lines[0]
-    toks = head.split()
     kind = toks[0].lower()
     if kind == "hard":
         if len(toks) != 6:
@@ -535,8 +533,7 @@ def classification_from_text(text: str) -> Classification:
         raise FormatError(f"unknown certificate kind `{toks[0]}`", no)
     exprs: list[BoundedExpr] = []
     envelope_words: tuple[str, ...] | None = None
-    for no, body in lines[1:]:
-        toks = body.split()
+    for no, toks in lines:
         if toks[0] == "expr":
             if envelope_words is not None:
                 raise FormatError("expr line after envelope line", no)

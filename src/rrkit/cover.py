@@ -12,13 +12,13 @@ prefix-incomparable cycles u and v the three codes are
 
 which are pairwise prefix-incomparable, so the dispatch trie is
 deterministic. `cover` runs the trie in step with a DFA r of the target
-language, one breadth-first pass over the reachable (trie node, r state)
-pairs: an edge that writes a letter exists only where r reads it, and a
-pair accepts only where the trie and r both accept. That restricts the
-image to exactly L(r).
+language (`rrkit.transducer._restrict`): an edge that writes a letter
+exists only where r reads it, and a state accepts only where the trie and
+r both accept. That restricts the image to exactly L(r). The surjection
+is the same construction with r the DFA of Γ*.
 
-`cover` proves that image equal to the target before returning,
-by the trie's right inverse e(w) = access · code(w) · u u s, where code(w)
+Both prove the image equal to the target before returning, by the
+trie's right inverse e(w) = access · code(w) · u u s, where code(w)
 spells each letter's bits in zero and one words. Two deterministic walks
 decide it, with no image automaton and no subset search: (a) no reachable
 triple of transducer, filter and target states ends a filter word with an
@@ -41,7 +41,7 @@ from .classify import (
     classify,
     verify_witness,
 )
-from .transducer import Dfst, _feed, image_nfa
+from .transducer import Dfst, _feed, _restrict, image_nfa
 
 
 @dataclass(frozen=True)
@@ -141,47 +141,6 @@ def _build_dispatch(plan: CoverPlan, access: str, in_alphabet) -> Dfst:
                 frozenset({ids[accept]}), transitions, {})
 
 
-def _over_target(trie: Dfst, r: Dfa) -> Dfst:
-    """The dispatch trie run in step with r, over the reachable (trie node,
-    r state) pairs. An edge that writes nothing keeps r's state, one that
-    writes a letter exists only where r has that letter, and a pair accepts
-    where the trie node and the r state both accept. Pairs are numbered
-    breadth-first, over the input symbols in alphabet order.
-
-    The trie's nodes must be numbered 0..T-1, as `_build_dispatch` numbers
-    them; a pair is keyed by the int qr * T + qt."""
-    alphabet = trie.in_alphabet
-    size = len(trie.states)
-    trie_get, r_get = trie.transitions.get, r.transitions.get
-    edges = [[(sym, *edge) for sym in alphabet if (edge := trie_get((qt, sym)))]
-             for qt in range(size)]
-    trie_accepting, r_accepting = trie.accepting, r.accepting
-    ids = {r.initial * size + trie.initial: 0}
-    nodes, r_states = [trie.initial], [r.initial]  # pair i is (nodes[i], r_states[i])
-    accepting: list[int] = []
-    transitions: dict[tuple[int, str], tuple[str, int]] = {}
-    for i, qt in enumerate(nodes):  # the queue grows as the pass goes
-        qr = r_states[i]
-        if qt in trie_accepting and qr in r_accepting:
-            accepting.append(i)
-        for sym, out, qt2 in edges[qt]:
-            if out:
-                qr2 = r_get((qr, out))
-                if qr2 is None:
-                    continue
-            else:
-                qr2 = qr
-            key = qr2 * size + qt2
-            j = ids.get(key)
-            if j is None:
-                j = ids[key] = len(nodes)
-                nodes.append(qt2)
-                r_states.append(qr2)
-            transitions[i, sym] = (out, j)
-    return Dfst(alphabet, trie.out_alphabet, frozenset(range(len(nodes))), 0,
-                frozenset(accepting), transitions, {})
-
-
 def _image_within(t: Dfst, f: Dfa, r: Dfa) -> bool:
     """(a) image(t over f) ⊆ L(r). Walks the reachable triples of t, f and r
     states, r following t's output; a missing r transition is a dead,
@@ -259,34 +218,38 @@ def _inverse_reaches(t: Dfst, f: Dfa, r: Dfa, plan: CoverPlan) -> bool:
     return True
 
 
-def _image_proved(t: Dfst, f: Dfa, r: Dfa, plan: CoverPlan) -> bool:
-    """True when the two walks prove image(t over f) = L(r)."""
-    return _image_within(t, f, r) and _inverse_reaches(t, f, r, plan)
+def _dispatch_onto(f: Dfa, witness: HardnessWitness, letters, r: Dfa) -> tuple[Dfst, str | None]:
+    """The dispatch trie of `witness` over `letters` run in step with r,
+    and the word on which its image over L(f) differs from L(r): None when
+    the two right-inverse walks prove them equal, else what `cover_gap`
+    finds."""
+    plan = plan_cover(witness, letters)
+    t = _restrict(_build_dispatch(plan, witness.access, f.alphabet), r)
+    if _image_within(t, f, r) and _inverse_reaches(t, f, r, plan):
+        return t, None
+    gap = cover_gap(t, f, r)
+    return t, None if gap is None else gap[0]
 
 
 def surjection_to_star(f: Dfa, witness: HardnessWitness, letters) -> Dfst:
-    """Transducer whose image over L(f) is exactly Γ* for Γ = `letters`.
+    """Transducer whose image over L(f) is exactly Γ* for Γ = `letters`:
+    the dispatch trie of the witness run in step with the DFA of Γ*.
 
     The witness must be valid for trim(f). Before returning, the image is
-    proved equal to Γ* by the right-inverse walks, or, when they fail, by
-    `cover_gap`.
+    proved equal to Γ* as `cover` proves its image.
     """
     verify_witness(f, witness)
-    plan = plan_cover(witness, letters)
-    t = _build_dispatch(plan, witness.access, f.alphabet)
-    star = universal_dfa(plan.letters)
-    if not _image_proved(t, f, star, plan):
-        gap = cover_gap(t, f, star)
-        if gap is not None:
-            raise CertificateError(
-                f"surjection image differs from the full language on {gap[0]!r}")
+    star = universal_dfa(letters)
+    t, gap = _dispatch_onto(f, witness, star.alphabet, star)
+    if gap is not None:
+        raise CertificateError(f"surjection image differs from the full language on {gap!r}")
     return t
 
 
 def cover(f: Dfa, r: Dfa) -> Dfst:
     """Transducer mapping the hard filter f onto L(r): the dispatch trie of
-    f's witness run in step with r (`_over_target`), so it writes a word
-    only where r reads it.
+    f's witness run in step with r, so it writes a word only where r
+    reads it.
 
     Before it is returned, its image over L(f) is proved equal to L(r) by
     two deterministic walks over the trie's right inverse (see the module
@@ -298,13 +261,9 @@ def cover(f: Dfa, r: Dfa) -> Dfst:
     if not isinstance(verdict, Hard):
         raise ClassificationMismatch("filter is easy; it does not cover arbitrary languages",
                                      verdict)
-    letters = r.alphabet if r.alphabet else f.alphabet
-    plan = plan_cover(verdict.witness, letters)
-    t = _over_target(_build_dispatch(plan, verdict.witness.access, f.alphabet), r)
-    if not _image_proved(t, f, r, plan):
-        gap = cover_gap(t, f, r)
-        if gap is not None:
-            raise CertificateError(f"cover image differs from the target on {gap[0]!r}")
+    t, gap = _dispatch_onto(f, verdict.witness, r.alphabet or f.alphabet, r)
+    if gap is not None:
+        raise CertificateError(f"cover image differs from the target on {gap!r}")
     return t
 
 

@@ -10,6 +10,11 @@ missing or the run ends in a non-accepting state.
 
 Composition follows application order: composing first `t1` then `t2`
 yields the machine computing t2(t1(x)).
+
+Running a transducer in step with a DFA that reads its output is one
+construction, `_restrict`, over the reachable (transducer state, DFA
+state) pairs. `preimage_automaton` is its pairs without their outputs,
+and `rrkit.cover` restricts a dispatch trie to its target with it.
 """
 
 from __future__ import annotations
@@ -139,38 +144,64 @@ def compose_dfst(t1: Dfst, t2: Dfst) -> Dfst:
                 frozenset(accepting), transitions, final_output)
 
 
+def _restrict(t: Dfst, a: Dfa) -> Dfst:
+    """t run in step with a, which reads t's output, over the reachable
+    (t state, a state) pairs, numbered breadth-first over the input
+    symbols in alphabet order. An edge exists only where a reads its whole
+    output; one with a letter a cannot read, even one outside a's
+    alphabet, is dropped. A pair accepts where t accepts and a accepts
+    after t's final output, which the pair keeps.
+
+    t's states must be 0..T-1, as `_bfs_renumbered` and
+    `cover._build_dispatch` number them; a pair is keyed by the int
+    qa * T + qt."""
+    alphabet = t.in_alphabet
+    size = len(t.states)
+    t_get, a_walk = t.transitions.get, a.walk
+    edges = [[(sym, *edge) for sym in alphabet if (edge := t_get((qt, sym)))]
+             for qt in range(size)]
+    t_accepting, a_accepting, t_final = t.accepting, a.accepting, t.final_output
+    ids = {a.initial * size + t.initial: 0}
+    t_states, a_states = [t.initial], [a.initial]  # pair i is (t_states[i], a_states[i])
+    accepting: list[int] = []
+    final_output: dict[int, str] = {}
+    transitions: dict[tuple[int, str], tuple[str, int]] = {}
+    for i, qt in enumerate(t_states):  # the queue grows as the pass goes
+        qa = a_states[i]
+        if qt in t_accepting:
+            tail = t_final.get(qt, "")
+            if a.walk(qa, tail) in a_accepting:
+                accepting.append(i)
+                if tail:
+                    final_output[i] = tail
+        for sym, out, qt2 in edges[qt]:
+            if out:
+                qa2 = a_walk(qa, out)
+                if qa2 is None:
+                    continue
+            else:
+                qa2 = qa
+            key = qa2 * size + qt2
+            j = ids.get(key)
+            if j is None:
+                j = ids[key] = len(t_states)
+                t_states.append(qt2)
+                a_states.append(qa2)
+            transitions[i, sym] = (out, j)
+    return Dfst(alphabet, t.out_alphabet, frozenset(range(len(t_states))), 0,
+                frozenset(accepting), transitions, final_output)
+
+
 def preimage_automaton(t: Dfst, a: Dfa) -> Dfa:
-    """Recognizer of { x : t(x) is defined and t(x) ∈ L(a) }: a Dfa over the
-    reachable (t state, a state) pairs, since t reads one symbol per step
-    and a is deterministic."""
+    """Recognizer of { x : t(x) is defined and t(x) ∈ L(a) }: the pairs of
+    `_restrict` with their outputs left off, a Dfa since t reads one
+    symbol per step and a is deterministic. t may carry any ids: its
+    breadth-first renumbering reaches the same pairs in the same order."""
     if not set(t.out_alphabet) <= set(a.alphabet):
         raise AlphabetError("transducer emits symbols outside the automaton's alphabet")
-    ids: dict[tuple[int, int], int] = {(t.initial, a.initial): 0}
-    queue = deque([(t.initial, a.initial)])
-    transitions: dict[tuple[int, str], int] = {}
-    accepting: set[int] = set()
-    while queue:
-        pair = queue.popleft()
-        qt, qa = pair
-        i = ids[pair]
-        if qt in t.accepting:
-            end = a.walk(qa, t.final_output.get(qt, ""))
-            if end is not None and end in a.accepting:
-                accepting.add(i)
-        for sym in t.in_alphabet:
-            tr = t.transitions.get((qt, sym))
-            if tr is None:
-                continue
-            out, qt2 = tr
-            qa2 = a.walk(qa, out)
-            if qa2 is None:
-                continue
-            j = ids.get((qt2, qa2))
-            if j is None:
-                j = ids[(qt2, qa2)] = len(ids)
-                queue.append((qt2, qa2))
-            transitions[(i, sym)] = j
-    return Dfa(t.in_alphabet, frozenset(ids.values()), 0, frozenset(accepting), transitions)
+    pairs = _restrict(_bfs_renumbered(t), a)
+    return Dfa(pairs.in_alphabet, pairs.states, 0, pairs.accepting,
+               {edge: dst for edge, (_, dst) in pairs.transitions.items()})
 
 
 def image_nfa(t: Dfst, a: Dfa) -> Nfa:
@@ -312,9 +343,10 @@ def dfst_to_text(t: Dfst) -> str:
     numbering is already t's own: states 0..n-1 with initial 0, every
     transition listed by source and then by input symbol, each source
     reached before it is left and each new destination the next number.
-    `cover` and `compose_dfst` number their states that way. Any other
-    machine, such as a parsed file, is first renumbered by a breadth-first
-    search and then written by the same pass."""
+    `_restrict`, behind every cover and surjection, and `compose_dfst`
+    number their states that way. Any other machine, such as a parsed
+    file, is first renumbered by a breadth-first search and then written
+    by the same pass."""
     text = _canonical_text(t)
     if text is None:
         text = _canonical_text(_bfs_renumbered(t))

@@ -352,7 +352,7 @@ class TestCoverChecksOnce:
     def test_wrong_composition_is_caught(self, monkeypatch):
         # a construction that copies the filter instead of mapping it onto
         # (ab)*: its image is Σ*, and `a` is the first word outside (ab)*
-        monkeypatch.setattr(cover_module, "_over_target",
+        monkeypatch.setattr(cover_module, "_restrict",
                             lambda trie, r: identity_transducer(SIGMA_STAR))
         target = determinize(regex_to_nfa("(ab)*"))
         with pytest.raises(CertificateError) as err:
@@ -360,7 +360,7 @@ class TestCoverChecksOnce:
         assert str(err.value) == "cover image differs from the target on 'a'"
 
     def test_refused_cover_checks_once(self, calls, monkeypatch):
-        monkeypatch.setattr(cover_module, "_over_target",
+        monkeypatch.setattr(cover_module, "_restrict",
                             lambda trie, r: identity_transducer(SIGMA_STAR))
         with pytest.raises(CertificateError):
             cover(SIGMA_STAR, determinize(regex_to_nfa("(ab)*")))

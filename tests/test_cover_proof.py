@@ -95,8 +95,9 @@ class TestMatchesOracle:
             if not isinstance(verdict, Hard):
                 continue
             for letters in (("a", "b"), ("a", "b", "c"), ("b", "a"), ("c",), ("d", "c", "b", "a", "e")):
-                assert _result(surjection_to_star, f, verdict.witness, letters) \
-                    == _result(oracle_surjection_to_star, f, verdict.witness, letters)
+                got = _result(surjection_to_star, f, verdict.witness, letters)
+                assert got == _result(oracle_surjection_to_star, f, verdict.witness, letters)
+                assert got == _result(cover, f, universal_dfa(letters))
 
 
 # ---------------------------------------------------------------------------
@@ -216,8 +217,8 @@ def test_mutant_composition_refused_like_the_oracle(name, monkeypatch):
     def composing(first, second):
         return mutate(compose_dfst(first, second), plan)
 
-    build = cover_module._over_target
-    monkeypatch.setattr(cover_module, "_over_target", lambda trie, r: mutate(build(trie, r), plan))
+    build = cover_module._restrict
+    monkeypatch.setattr(cover_module, "_restrict", lambda trie, r: mutate(build(trie, r), plan))
     monkeypatch.setattr(helpers, "compose_dfst", composing)
     want = ("CertificateError", f"cover image differs from the target on {gap!r}")
     assert outcome(cover, f, target) == want
@@ -276,7 +277,7 @@ class TestExactCheckOnlyOnFailure:
         assert check_calls == {"image_nfa": 0, "separating_word": 0}
 
     def test_refused_cover_checks_once(self, check_calls, monkeypatch):
-        monkeypatch.setattr(cover_module, "_over_target",
+        monkeypatch.setattr(cover_module, "_restrict",
                             lambda trie, r: identity_transducer(SIGMA_STAR))
         assert outcome(cover, SIGMA_STAR, AB_STAR) \
             == ("CertificateError", "cover image differs from the target on 'a'")
@@ -290,7 +291,7 @@ class TestExactCheckOnlyOnFailure:
         plan = plan_cover(classify(f).witness, AB_STAR.alphabet)
         word = _code(plan, "a") + plan.zero_word[:2]
 
-        build = cover_module._over_target
+        build = cover_module._restrict
 
         def building(trie, r):
             t = build(trie, r)
@@ -298,7 +299,7 @@ class TestExactCheckOnlyOnFailure:
             assert f.walk(f.initial, plan.witness.access + word) not in f.accepting
             return _replace(t, accepting=t.accepting | {q})
 
-        monkeypatch.setattr(cover_module, "_over_target", building)
+        monkeypatch.setattr(cover_module, "_restrict", building)
         assert isinstance(cover(f, AB_STAR), Dfst)
         assert check_calls == {"image_nfa": 0, "separating_word": 0}
 
@@ -306,7 +307,7 @@ class TestExactCheckOnlyOnFailure:
         # the copy machine of Σ* maps Σ* onto Σ*, but not through the code
         # words: walk (b) fails and the exact check accepts it
         copier = identity_transducer(SIGMA_STAR)
-        monkeypatch.setattr(cover_module, "_over_target", lambda trie, r: copier)
+        monkeypatch.setattr(cover_module, "_restrict", lambda trie, r: copier)
         plan = plan_cover(classify(SIGMA_STAR).witness, SIGMA_STAR.alphabet)
         assert cover_module._image_within(copier, SIGMA_STAR, SIGMA_STAR)
         assert not cover_module._inverse_reaches(copier, SIGMA_STAR, SIGMA_STAR, plan)

@@ -241,7 +241,7 @@ def test_walk_matches_oracle_on_mutants(name):
     plan = plan_cover(classify(f).witness, target.alphabet)
     trie = cover_module._build_dispatch(plan, plan.witness.access, f.alphabet)
     for t in (compose_dfst(trie, identity_transducer(target)),
-              cover_module._over_target(trie, target)):
+              cover_module._restrict(trie, target)):
         mutant = mutate(t, plan)
         assert cover_module._image_within(mutant, f, target) is within
         assert oracle_image_within(mutant, f, target) is within

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from helpers import (
+    count_calls,
     dfa_as_nfa,
     identity_transducer,
     image_member,
@@ -10,16 +11,20 @@ from helpers import (
     naive_apply,
     naive_dfa_accepts,
     naive_nfa_accepts,
+    oracle_preimage_nfa,
     random_dfa,
     random_dfst,
     words_upto,
 )
 from rrkit import (
     AlphabetError,
+    Dfa,
     Dfst,
     FormatError,
     apply,
+    classify,
     compose_dfst,
+    cover,
     dfst_to_text,
     image_nfa,
     parse_dfa,
@@ -27,8 +32,10 @@ from rrkit import (
     preimage_automaton,
     regex_to_nfa,
     separating_word,
+    surjection_to_star,
     universal_dfa,
 )
+from rrkit.transducer import _restrict
 
 AB_STAR = parse_dfa(
     "dfa\nalphabet a b\nstates 0 1\ninitial 0\naccept 0\ntrans 0 a 1\ntrans 1 b 0\n")
@@ -135,6 +142,60 @@ class TestPreimage:
                 y = naive_apply(t, x)
                 want = y is not None and naive_nfa_accepts(dfa_as_nfa(a), y)
                 assert naive_dfa_accepts(pre, x) == want
+
+
+LABELS = (lambda q: q, lambda q: -q, lambda q: 3 * q + 2, lambda q: 10**40 + 7 * q)
+
+
+def _relabel(m, label):
+    """The Dfst or Dfa m with each state q renamed label(q)."""
+    if isinstance(m, Dfa):
+        return Dfa(m.alphabet, frozenset(map(label, m.states)), label(m.initial),
+                   frozenset(map(label, m.accepting)),
+                   {(label(q), sym): label(d) for (q, sym), d in m.transitions.items()})
+    return Dfst(m.in_alphabet, m.out_alphabet, frozenset(map(label, m.states)),
+                label(m.initial), frozenset(map(label, m.accepting)),
+                {(label(q), sym): (out, label(d)) for (q, sym), (out, d) in m.transitions.items()},
+                {label(q): out for q, out in m.final_output.items()})
+
+
+class TestRestrict:
+    """`_restrict` is the one in-step construction of a transducer and a
+    DFA reading its output; the preimage is its pairs."""
+
+    def _cases(self):
+        rng = random.Random(61)
+        for _ in range(60):
+            t = random_dfst(rng, rng.randint(1, 5), out_alphabet=("a", "b", "c"),
+                            max_out=3, final_prob=0.5)
+            a = random_dfa(rng, rng.randint(1, 5), ("a", "b", "c"),
+                           density=rng.choice((0.5, 0.8)))
+            for label in LABELS:
+                yield t, _relabel(t, label), _relabel(a, label)
+
+    def test_same_text_as_composing_with_the_copy_machine(self):
+        for t, _, a in self._cases():
+            assert dfst_to_text(_restrict(t, a)) \
+                == dfst_to_text(compose_dfst(t, identity_transducer(a)))
+
+    def test_preimage_numbers_pairs_like_the_oracle(self):
+        for _, t, a in self._cases():
+            pre = preimage_automaton(t, a)
+            want = oracle_preimage_nfa(t, a)
+            assert (pre.states, frozenset({pre.initial}), pre.accepting) \
+                == (want.states, want.initial, want.accepting)
+            assert tuple((i, sym, j) for (i, sym), j in pre.transitions.items()) \
+                == want.transitions
+
+    def test_one_call_per_construction(self, monkeypatch):
+        sigma_star = universal_dfa(("a", "b"))
+        calls = count_calls(monkeypatch, ["_restrict"])
+        cover(sigma_star, AB_STAR)
+        assert calls == {"_restrict": 1}
+        surjection_to_star(sigma_star, classify(sigma_star).witness, ("a", "b", "c"))
+        assert calls == {"_restrict": 2}
+        preimage_automaton(identity_transducer(sigma_star), AB_STAR)
+        assert calls == {"_restrict": 3}
 
 
 class TestImage:
