@@ -5,24 +5,27 @@ strings and "" is the empty word. Alphabets keep their declared symbol
 order; that order drives breadth-first tie-breaking, so any witness word
 returned by an operation is shortest first, then lexicographically
 smallest. Constructions return their machines as built. A state's
-number shows only where it is printed, so only serialization (`*_to_text`)
-and `trim` (whose numbers the HARD certificate's `q=` names) renumber, in
-canonical BFS discovery order; that makes the output byte-stable.
+number shows only where it is printed, so only serialization (`*_to_text`,
+through `canonical_dfa` and `canonical_nfa`) and `trim` (whose numbers the
+HARD certificate's `q=` names) renumber, in canonical BFS discovery order;
+that makes the output byte-stable. `trim` and `canonical_dfa` share one
+numbering pass, `_numbered`.
 
 Inclusion, equivalence and intersection are decided without building a
 product: `_pair_search` walks pairs of side states breadth-first, in
 alphabet order, and stops at the first pair of the wanted kind. Each side
 names its states by int ids: a Dfa the ids 0..n-1 that `_dense` gives its
 n states, the one rule `trim` and `condense` use too; an Nfa its
-epsilon-closed subsets, in order of first reach. Successors sit in
-per-symbol rows, `rows[k][i]` for the k-th symbol, filled in only when the
-walk first needs them, so a search that stops early reads only the
-transitions it used. A reached pair keeps only its parent pair and the
-symbol read, and a word is spelled out, along those links, only for a pair
-that answers the search. Equivalence asks for the symmetric difference;
-there the search finishes the level where the first differing pair appears
-and returns the first left-only and the first right-only word of that
-level, and the caller keeps the smaller by `(len(w), w)`, i.e. Python's
+epsilon-closed subsets, in order of first reach (`determinize` is that
+side asked for every successor). Successors sit in per-symbol rows,
+`rows[k][i]` for the k-th symbol, filled in only when the walk first
+needs them, so a search that stops early reads only the transitions it
+used. A reached pair keeps only its parent pair and the symbol read, and
+a word is spelled out, along those links, only for a pair that answers
+the search. Equivalence asks for the symmetric difference; there the
+search finishes the level where the first differing pair appears and
+returns the first left-only and the first right-only word of that level,
+and the caller keeps the smaller by `(len(w), w)`, i.e. Python's
 code-point order. That is the answer two one-sided inclusion checks give,
 also on an alphabet declared out of order such as `("b", "a")`.
 """
@@ -316,7 +319,6 @@ def _kw_line(keyword: str, items) -> str:
 
 def dfa_to_text(d: Dfa) -> str:
     d = canonical_dfa(d)
-    idx = {sym: k for k, sym in enumerate(d.alphabet)}
     lines = [
         "dfa",
         _kw_line("alphabet", d.alphabet),
@@ -324,7 +326,7 @@ def dfa_to_text(d: Dfa) -> str:
         f"initial {d.initial}",
         _kw_line("accept", (str(q) for q in sorted(d.accepting))),
     ]
-    for (q, sym), t in sorted(d.transitions.items(), key=lambda e: (e[0][0], idx[e[0][1]])):
+    for (q, sym), t in d.transitions.items():  # in canonical_dfa's order
         lines.append(f"trans {q} {sym} {t}")
     return "\n".join(lines) + "\n"
 
@@ -348,23 +350,11 @@ def nfa_to_text(n: Nfa) -> str:
 
 
 def canonical_dfa(d: Dfa) -> Dfa:
-    """Renumber by BFS discovery order; unreachable states are dropped."""
-    order = {d.initial: 0}
-    queue = deque([d.initial])
-    while queue:
-        q = queue.popleft()
-        for sym in d.alphabet:
-            t = d.transitions.get((q, sym))
-            if t is not None and t not in order:
-                order[t] = len(order)
-                queue.append(t)
-    transitions = {
-        (order[q], sym): order[t]
-        for (q, sym), t in d.transitions.items()
-        if q in order
-    }
-    return Dfa(d.alphabet, frozenset(order.values()), 0,
-               frozenset(order[q] for q in d.accepting if q in order), transitions)
+    """Renumber by BFS discovery order; unreachable states are dropped.
+    Transitions come out by source, then in alphabet order. This is
+    `trim`'s numbering pass with every state live."""
+    initial, accepting, transitions, _ = _dense(d)
+    return _numbered(d.alphabet, initial, accepting, transitions, [True] * len(d.states))
 
 
 def canonical_nfa(n: Nfa) -> Nfa:
@@ -502,44 +492,48 @@ def run_nfa(n: Nfa, word: str) -> bool:
 
 def determinize(n: Nfa) -> Dfa:
     """Subset construction over epsilon closures; the output is partial
-    (no transition where the successor subset would be empty)."""
-    eps, moves = _index(n)
-    start = _closure(n.initial, eps)
-    ids: dict[frozenset[int], int] = {start: 0}
-    queue = deque([start])
+    (no transition where the successor subset would be empty). It is the
+    pair search's Nfa side asked for every successor, id by id in alphabet
+    order, so the subsets keep that side's numbering by first reach."""
+    alphabet = n.alphabet
+    start, _, miss, accepting, _ = _side(n, alphabet)
+    if start < 0:
+        return empty_dfa(alphabet)
     transitions: dict[tuple[int, str], int] = {}
-    accepting = set()
-    while queue:
-        subset = queue.popleft()
-        i = ids[subset]
-        if subset & n.accepting:
-            accepting.add(i)
-        for sym in n.alphabet:
-            target = _subset_step(subset, sym, eps, moves)
-            if not target:
-                continue
-            j = ids.get(target)
-            if j is None:
-                j = ids[target] = len(ids)
-                queue.append(target)
-            transitions[(i, sym)] = j
-    return Dfa(n.alphabet, frozenset(range(len(ids))), 0, frozenset(accepting), transitions)
+    size = 1
+    i = 0
+    while i < size:
+        for sym in alphabet:
+            j = miss(i, sym)
+            if j >= 0:
+                transitions[i, sym] = j
+                if j == size:  # a subset reached for the first time
+                    size += 1
+        i += 1
+    return Dfa(alphabet, frozenset(range(size)), 0, frozenset(accepting), transitions)
+
+
+def _ranks(states) -> dict[int, int] | None:
+    """The one rule that gives n states the ids 0..n-1: None when they are
+    0..n-1 already, and each keeps its own number; otherwise each state's
+    rank in ascending order. `_dense` and `transducer._restrict` use it."""
+    n = len(states)
+    if min(states) == 0 and max(states) == n - 1:
+        return None
+    return {q: i for i, q in enumerate(sorted(states))}
 
 
 def _dense(d: Dfa):
-    """(initial, accepting, transitions, names): d over states 0..n-1, where
-    `names[i]` is the state that i stands for. A machine whose states are
-    0..n-1 already is given as it is, with `names` range(n); any other
-    numbering goes through one id table, in ascending order of state. This
-    is the one numbering rule of `trim`, `condense` and the pair search's
-    Dfa sides."""
-    n = len(d.states)
-    if min(d.states) == 0 and max(d.states) == n - 1:
-        return d.initial, d.accepting, d.transitions, range(n)
-    names = sorted(d.states)
-    ids = {q: i for i, q in enumerate(names)}
+    """(initial, accepting, transitions, names): d over the ids 0..n-1 that
+    `_ranks` gives its states, where `names[i]` is the state that i stands
+    for. A machine whose states are 0..n-1 already is given as it is, with
+    `names` range(n). This is the one numbering of `trim`, `canonical_dfa`,
+    `condense` and the pair search's Dfa sides."""
+    ids = _ranks(d.states)
+    if ids is None:
+        return d.initial, d.accepting, d.transitions, range(len(d.states))
     return (ids[d.initial], [ids[q] for q in d.accepting],
-            {(ids[q], sym): ids[t] for (q, sym), t in d.transitions.items()}, names)
+            {(ids[q], sym): ids[t] for (q, sym), t in d.transitions.items()}, list(ids))
 
 
 def trim(d: Dfa) -> Dfa:
@@ -549,11 +543,10 @@ def trim(d: Dfa) -> Dfa:
     machine.
 
     On int lists over `_dense` ids, one backward pass from the accepting
-    states marks the live states. One breadth-first pass from the initial
-    state, in alphabet order, then numbers the live states as it meets
-    them and writes the trimmed transitions. Every state on a path to a
-    live state is live itself, so that pass meets the kept states in
-    `canonical_dfa`'s order, and the input's own numbering never shows."""
+    states marks the live states, and `_numbered` numbers them. Every
+    state on a path to a live state is live itself, so that pass meets the
+    kept states in `canonical_dfa`'s order, and the input's own numbering
+    never shows."""
     initial, accepting, transitions, _ = _dense(d)
     n = len(d.states)
     back: list[list[int]] = [[] for _ in range(n)]
@@ -570,8 +563,17 @@ def trim(d: Dfa) -> Dfa:
                 stack.append(q)
     if not live[initial]:
         return empty_dfa(d.alphabet)
-    get, alphabet = transitions.get, d.alphabet
-    order = [-1] * n  # a live state's number, once the pass has met it
+    return _numbered(d.alphabet, initial, accepting, transitions, live)
+
+
+def _numbered(alphabet, initial, accepting, transitions, live) -> Dfa:
+    """A machine over `_dense` ids cut down to the live states that one
+    breadth-first pass from the initial state meets, reading symbols in
+    alphabet order and entering live states only. The pass numbers each
+    state as it meets it and writes the kept transitions as it goes: by
+    source, then in alphabet order."""
+    get = transitions.get
+    order = [-1] * len(live)  # a live state's number, once the pass has met it
     order[initial] = 0
     queue = [initial]
     kept: dict[tuple[int, str], int] = {}
@@ -706,7 +708,8 @@ def _side(m: Dfa | Nfa, alphabet):
     A Dfa side with n states takes its ids 0..n-1 from `_dense`, the rule
     `trim` and `condense` use, so each row has n + 1 slots. An Nfa side,
     whose states are epsilon-closed subsets, numbers them in order of
-    first reach. So memory never grows with the value of a state numeral.
+    first reach; `determinize` is this side with every successor asked
+    for. So memory never grows with the value of a state numeral.
     """
     if isinstance(m, Dfa):
         initial, accepting, transitions, _ = _dense(m)

@@ -11,17 +11,21 @@ missing or the run ends in a non-accepting state.
 Composition follows application order: composing first `t1` then `t2`
 yields the machine computing t2(t1(x)).
 
-Running a transducer in step with a DFA that reads its output is one
-construction, `_restrict`, over the reachable (transducer state, DFA
-state) pairs. `preimage_automaton` is its pairs without their outputs,
-and `rrkit.cover` restricts a dispatch trie to its target with it.
+Running a transducer in step with a machine that reads its output is one
+construction, `_restrict`, over the reachable (transducer state, reader
+state) pairs. `compose_dfst` is it with a transducer as the reader, and
+`preimage_automaton` its pairs with a DFA as the reader and their outputs
+left off; `rrkit.cover` restricts a dispatch trie to its target with it,
+and `dfst_to_text` renumbers a machine breadth-first by running it in
+step with the DFA of all words over its output alphabet.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from itertools import islice
 from dataclasses import dataclass, field
+from functools import partial
+from itertools import islice
 
 from .automata import (
     EPS,
@@ -34,7 +38,9 @@ from .automata import (
     _parse_alphabet,
     _parse_state,
     _parse_state_list,
+    _ranks,
     _section,
+    universal_dfa,
     word_from_text,
 )
 
@@ -110,96 +116,83 @@ def compose_dfst(t1: Dfst, t2: Dfst) -> Dfst:
     """Product machine computing t2(t1(x)); undefinedness propagates."""
     if not set(t1.out_alphabet) <= set(t2.in_alphabet):
         raise AlphabetError("first machine emits symbols the second cannot read")
-    ids: dict[tuple[int, int], int] = {(t1.initial, t2.initial): 0}
-    queue = deque([(t1.initial, t2.initial)])
-    transitions: dict[tuple[int, str], tuple[str, int]] = {}
-    accepting: set[int] = set()
-    final_output: dict[int, str] = {}
-    while queue:
-        pair = queue.popleft()
-        q1, q2 = pair
-        i = ids[pair]
-        if q1 in t1.accepting:
-            fed = _feed(t2, q2, t1.final_output.get(q1, ""))
-            if fed is not None and fed[1] in t2.accepting:
-                accepting.add(i)
-                tail = fed[0] + t2.final_output.get(fed[1], "")
-                if tail:
-                    final_output[i] = tail
-        for sym in t1.in_alphabet:
-            tr = t1.transitions.get((q1, sym))
-            if tr is None:
-                continue
-            mid, q1next = tr
-            fed = _feed(t2, q2, mid)
-            if fed is None:
-                continue
-            out, q2next = fed
-            j = ids.get((q1next, q2next))
-            if j is None:
-                j = ids[(q1next, q2next)] = len(ids)
-                queue.append((q1next, q2next))
-            transitions[(i, sym)] = (out, j)
-    return Dfst(t1.in_alphabet, t2.out_alphabet, frozenset(ids.values()), 0,
-                frozenset(accepting), transitions, final_output)
+    return _restrict(t1, t2)
 
 
-def _restrict(t: Dfst, a: Dfa) -> Dfst:
-    """t run in step with a, which reads t's output, over the reachable
-    (t state, a state) pairs, numbered breadth-first over the input
-    symbols in alphabet order. An edge exists only where a reads its whole
-    output; one with a letter a cannot read, even one outside a's
-    alphabet, is dropped. A pair accepts where t accepts and a accepts
-    after t's final output, which the pair keeps.
+def _restrict(t: Dfst, m: Dfa | Dfst) -> Dfst:
+    """t run in step with m, which reads t's output, over the reachable
+    (t state, m state) pairs, numbered breadth-first over the input
+    symbols in alphabet order. An edge exists only where m reads its whole
+    output; one with a letter m cannot read, even one outside m's
+    alphabet, is dropped. A pair accepts where t accepts and m accepts
+    after t's final output. A Dfa m keeps t's outputs, and a pair keeps
+    t's final output. A transducer m writes its own output for what it
+    reads (`_feed`), and a pair's final output ends with m's, so the
+    result computes m(t(x)).
 
-    t's states must be 0..T-1, as `_bfs_renumbered` and
-    `cover._build_dispatch` number them; a pair is keyed by the int
-    qa * T + qt."""
+    t's states count as the ids 0..T-1 that `automata._ranks` gives them:
+    their own numbers when they are 0..T-1 already, as in every dispatch
+    trie, otherwise their ranks. A pair is keyed by the int qm * T + qt."""
+    rank = _ranks(t.states)
+    if rank is not None:
+        t = Dfst(t.in_alphabet, t.out_alphabet, frozenset(rank.values()), rank[t.initial],
+                 frozenset(rank[q] for q in t.accepting),
+                 {(rank[q], sym): (out, rank[dst])
+                  for (q, sym), (out, dst) in t.transitions.items()},
+                 {rank[q]: out for q, out in t.final_output.items()})
+    writes = isinstance(m, Dfst)
+    walk = partial(_feed, m) if writes else m.walk  # a writer returns (output, state)
     alphabet = t.in_alphabet
     size = len(t.states)
-    t_get, a_walk = t.transitions.get, a.walk
+    t_get = t.transitions.get
     edges = [[(sym, *edge) for sym in alphabet if (edge := t_get((qt, sym)))]
              for qt in range(size)]
-    t_accepting, a_accepting, t_final = t.accepting, a.accepting, t.final_output
-    ids = {a.initial * size + t.initial: 0}
-    t_states, a_states = [t.initial], [a.initial]  # pair i is (t_states[i], a_states[i])
+    t_accepting, m_accepting, t_final = t.accepting, m.accepting, t.final_output
+    ids = {m.initial * size + t.initial: 0}
+    t_states, m_states = [t.initial], [m.initial]  # pair i is (t_states[i], m_states[i])
     accepting: list[int] = []
     final_output: dict[int, str] = {}
     transitions: dict[tuple[int, str], tuple[str, int]] = {}
     for i, qt in enumerate(t_states):  # the queue grows as the pass goes
-        qa = a_states[i]
+        qm = m_states[i]
         if qt in t_accepting:
             tail = t_final.get(qt, "")
-            if a.walk(qa, tail) in a_accepting:
+            end = walk(qm, tail)
+            if writes and end is not None:
+                tail, end = end
+                tail += m.final_output.get(end, "")
+            if end in m_accepting:
                 accepting.append(i)
                 if tail:
                     final_output[i] = tail
         for sym, out, qt2 in edges[qt]:
             if out:
-                qa2 = a_walk(qa, out)
-                if qa2 is None:
+                qm2 = walk(qm, out)
+                if qm2 is None:
                     continue
+                if writes:
+                    out, qm2 = qm2
             else:
-                qa2 = qa
-            key = qa2 * size + qt2
+                qm2 = qm
+            key = qm2 * size + qt2
             j = ids.get(key)
             if j is None:
                 j = ids[key] = len(t_states)
                 t_states.append(qt2)
-                a_states.append(qa2)
+                m_states.append(qm2)
             transitions[i, sym] = (out, j)
-    return Dfst(alphabet, t.out_alphabet, frozenset(range(len(t_states))), 0,
-                frozenset(accepting), transitions, final_output)
+    return Dfst(alphabet, m.out_alphabet if writes else t.out_alphabet,
+                frozenset(range(len(t_states))), 0, frozenset(accepting), transitions,
+                final_output)
 
 
 def preimage_automaton(t: Dfst, a: Dfa) -> Dfa:
     """Recognizer of { x : t(x) is defined and t(x) ∈ L(a) }: the pairs of
     `_restrict` with their outputs left off, a Dfa since t reads one
-    symbol per step and a is deterministic. t may carry any ids: its
-    breadth-first renumbering reaches the same pairs in the same order."""
+    symbol per step and a is deterministic."""
     if not set(t.out_alphabet) <= set(a.alphabet):
         raise AlphabetError("transducer emits symbols outside the automaton's alphabet")
-    pairs = _restrict(_bfs_renumbered(t), a)
+    pairs = _restrict(t, a)
     return Dfa(pairs.in_alphabet, pairs.states, 0, pairs.accepting,
                {edge: dst for edge, (_, dst) in pairs.transitions.items()})
 
@@ -343,13 +336,14 @@ def dfst_to_text(t: Dfst) -> str:
     numbering is already t's own: states 0..n-1 with initial 0, every
     transition listed by source and then by input symbol, each source
     reached before it is left and each new destination the next number.
-    `_restrict`, behind every cover and surjection, and `compose_dfst`
-    number their states that way. Any other machine, such as a parsed
-    file, is first renumbered by a breadth-first search and then written
-    by the same pass."""
+    `_restrict`, behind every cover, surjection and composition, numbers
+    its states that way. Any other machine, such as a parsed file, is
+    first renumbered by `_restrict` against the DFA of all words over its
+    output alphabet, which reads every output, and then written by the
+    same pass."""
     text = _canonical_text(t)
     if text is None:
-        text = _canonical_text(_bfs_renumbered(t))
+        text = _canonical_text(_restrict(t, universal_dfa(t.out_alphabet)))
     return text
 
 
@@ -384,26 +378,3 @@ def _canonical_text(t: Dfst) -> str | None:
         *(f"final {q} {out}" for q, out in sorted(t.final_output.items()) if out),
     ]
     return "\n".join(lines) + "\n"
-
-
-def _bfs_renumbered(t: Dfst) -> Dfst:
-    """t with its reachable states renumbered breadth-first over input
-    symbols in alphabet order, transitions listed in that order."""
-    order = {t.initial: 0}
-    queue = [t.initial]
-    transitions: dict[tuple[int, str], tuple[str, int]] = {}
-    for q in queue:  # the queue grows as the pass goes
-        i = order[q]
-        for sym in t.in_alphabet:
-            tr = t.transitions.get((q, sym))
-            if tr is None:
-                continue
-            out, dst = tr
-            j = order.get(dst)
-            if j is None:
-                j = order[dst] = len(order)
-                queue.append(dst)
-            transitions[i, sym] = (out, j)
-    return Dfst(t.in_alphabet, t.out_alphabet, frozenset(range(len(order))), 0,
-                frozenset(order[q] for q in t.accepting if q in order), transitions,
-                {order[q]: out for q, out in t.final_output.items() if q in order})

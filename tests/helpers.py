@@ -55,6 +55,7 @@ from rrkit.automata import (
     word_to_text,
 )
 from rrkit.cover import _build_dispatch, plan_cover
+from rrkit.transducer import _feed
 from rrkit.classify import (
     _easy_exprs,
     _envelope_of,
@@ -1183,6 +1184,120 @@ def oracle_parse_dfst(text: str) -> Dfst:
             raise FormatError(f"unexpected `{toks[0]}`", no)
     return Dfst(in_alphabet, out_alphabet, frozenset(states), initial,
                 frozenset(accepting), transitions, final_output)
+
+
+# ---------------------------------------------------------------------------
+# the library's own breadth-first searches, before composition, transducer
+# renumbering, determinization and DFA renumbering ran on its shared
+# engines (`transducer._restrict`, `automata._side`, `automata._numbered`);
+# kept as differential oracles
+
+
+def oracle_compose_dfst(t1: Dfst, t2: Dfst) -> Dfst:
+    """Product machine computing t2(t1(x)); undefinedness propagates."""
+    if not set(t1.out_alphabet) <= set(t2.in_alphabet):
+        raise AlphabetError("first machine emits symbols the second cannot read")
+    ids: dict[tuple[int, int], int] = {(t1.initial, t2.initial): 0}
+    queue = deque([(t1.initial, t2.initial)])
+    transitions: dict[tuple[int, str], tuple[str, int]] = {}
+    accepting: set[int] = set()
+    final_output: dict[int, str] = {}
+    while queue:
+        pair = queue.popleft()
+        q1, q2 = pair
+        i = ids[pair]
+        if q1 in t1.accepting:
+            fed = _feed(t2, q2, t1.final_output.get(q1, ""))
+            if fed is not None and fed[1] in t2.accepting:
+                accepting.add(i)
+                tail = fed[0] + t2.final_output.get(fed[1], "")
+                if tail:
+                    final_output[i] = tail
+        for sym in t1.in_alphabet:
+            tr = t1.transitions.get((q1, sym))
+            if tr is None:
+                continue
+            mid, q1next = tr
+            fed = _feed(t2, q2, mid)
+            if fed is None:
+                continue
+            out, q2next = fed
+            j = ids.get((q1next, q2next))
+            if j is None:
+                j = ids[(q1next, q2next)] = len(ids)
+                queue.append((q1next, q2next))
+            transitions[(i, sym)] = (out, j)
+    return Dfst(t1.in_alphabet, t2.out_alphabet, frozenset(ids.values()), 0,
+                frozenset(accepting), transitions, final_output)
+
+
+def oracle_bfs_renumbered(t: Dfst) -> Dfst:
+    """t with its reachable states renumbered breadth-first over input
+    symbols in alphabet order, transitions listed in that order."""
+    order = {t.initial: 0}
+    queue = [t.initial]
+    transitions: dict[tuple[int, str], tuple[str, int]] = {}
+    for q in queue:  # the queue grows as the pass goes
+        i = order[q]
+        for sym in t.in_alphabet:
+            tr = t.transitions.get((q, sym))
+            if tr is None:
+                continue
+            out, dst = tr
+            j = order.get(dst)
+            if j is None:
+                j = order[dst] = len(order)
+                queue.append(dst)
+            transitions[i, sym] = (out, j)
+    return Dfst(t.in_alphabet, t.out_alphabet, frozenset(range(len(order))), 0,
+                frozenset(order[q] for q in t.accepting if q in order), transitions,
+                {order[q]: out for q, out in t.final_output.items() if q in order})
+
+
+def oracle_determinize(n: Nfa) -> Dfa:
+    """Subset construction over epsilon closures; the output is partial
+    (no transition where the successor subset would be empty)."""
+    eps, moves = _index(n)
+    start = _closure(n.initial, eps)
+    ids: dict[frozenset[int], int] = {start: 0}
+    queue = deque([start])
+    transitions: dict[tuple[int, str], int] = {}
+    accepting = set()
+    while queue:
+        subset = queue.popleft()
+        i = ids[subset]
+        if subset & n.accepting:
+            accepting.add(i)
+        for sym in n.alphabet:
+            target = _subset_step(subset, sym, eps, moves)
+            if not target:
+                continue
+            j = ids.get(target)
+            if j is None:
+                j = ids[target] = len(ids)
+                queue.append(target)
+            transitions[(i, sym)] = j
+    return Dfa(n.alphabet, frozenset(range(len(ids))), 0, frozenset(accepting), transitions)
+
+
+def oracle_canonical_dfa(d: Dfa) -> Dfa:
+    """Renumber by BFS discovery order; unreachable states are dropped."""
+    order = {d.initial: 0}
+    queue = deque([d.initial])
+    while queue:
+        q = queue.popleft()
+        for sym in d.alphabet:
+            t = d.transitions.get((q, sym))
+            if t is not None and t not in order:
+                order[t] = len(order)
+                queue.append(t)
+    transitions = {
+        (order[q], sym): order[t]
+        for (q, sym), t in d.transitions.items()
+        if q in order
+    }
+    return Dfa(d.alphabet, frozenset(order.values()), 0,
+               frozenset(order[q] for q in d.accepting if q in order), transitions)
 
 
 def count_calls(monkeypatch, names) -> dict:

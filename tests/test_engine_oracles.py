@@ -1,0 +1,185 @@
+"""Composition, transducer renumbering, determinization and DFA
+renumbering run on the library's shared engines (`transducer._restrict`,
+`automata._side` and `trim`'s numbering pass). Each must build, field for
+field, the machine that its own breadth-first search built before; those
+searches are kept in `helpers` as oracles."""
+
+import random
+
+import pytest
+
+from helpers import (
+    oracle_bfs_renumbered,
+    oracle_canonical_dfa,
+    oracle_compose_dfst,
+    oracle_determinize,
+    random_dfa,
+    random_dfst,
+    random_nfa,
+)
+from rrkit import (
+    AlphabetError,
+    Dfa,
+    Dfst,
+    Nfa,
+    canonical_dfa,
+    compose_dfst,
+    determinize,
+    dfa_to_text,
+    dfst_to_text,
+    empty_dfa,
+    universal_dfa,
+)
+from rrkit.transducer import _canonical_text, _restrict
+from test_transducer import LABELS, _relabel
+
+def _relabel_nfa(n: Nfa, label) -> Nfa:
+    return Nfa(n.alphabet, frozenset(map(label, n.states)), frozenset(map(label, n.initial)),
+               frozenset(map(label, n.accepting)),
+               tuple((label(q), sym, label(t)) for q, sym, t in n.transitions))
+
+
+def _dfst_fields(t: Dfst):
+    return (t.in_alphabet, t.out_alphabet, t.states, t.initial, t.accepting,
+            list(t.transitions.items()), t.final_output)
+
+
+def _dfa_fields(d: Dfa):
+    return d.alphabet, d.states, d.initial, d.accepting, list(d.transitions.items())
+
+
+def _dfst_pairs():
+    rng = random.Random(1701)
+    for _ in range(100):
+        t1 = random_dfst(rng, rng.randint(1, 6), out_alphabet=("a", "b", "c"),
+                         density=rng.choice((0.5, 0.9)), max_out=3, final_prob=0.5)
+        t2 = random_dfst(rng, rng.randint(1, 6), in_alphabet=("a", "b", "c"),
+                         out_alphabet=("c", "a"), density=rng.choice((0.5, 0.9)),
+                         max_out=3, final_prob=0.5)
+        for label in LABELS:
+            yield _relabel(t1, label), _relabel(t2, label)
+
+
+class TestCompose:
+    def test_matches_oracle_field_for_field(self):
+        composed = 0
+        for t1, t2 in _dfst_pairs():
+            assert _dfst_fields(compose_dfst(t1, t2)) \
+                == _dfst_fields(oracle_compose_dfst(t1, t2))
+            composed += 1
+        assert composed == 400
+
+    def test_each_machine_composed_with_itself(self):
+        rng = random.Random(1703)
+        for _ in range(100):
+            t = random_dfst(rng, rng.randint(1, 6), max_out=3, final_prob=0.5)
+            for label in LABELS:
+                moved = _relabel(t, label)
+                assert _dfst_fields(compose_dfst(moved, moved)) \
+                    == _dfst_fields(oracle_compose_dfst(moved, moved))
+
+    def test_alphabet_check_comes_first(self):
+        t1 = random_dfst(random.Random(1707), 3, out_alphabet=("a", "z"))
+        t2 = random_dfst(random.Random(1709), 3)
+        with pytest.raises(AlphabetError):
+            compose_dfst(t1, t2)
+        with pytest.raises(AlphabetError):
+            oracle_compose_dfst(t1, t2)
+
+
+class TestRenumberTransducer:
+    """`dfst_to_text` renumbers a machine by running it in step with the
+    DFA of all words over its output alphabet."""
+
+    def test_matches_oracle_field_for_field(self):
+        for t, _ in _dfst_pairs():
+            want = oracle_bfs_renumbered(t)
+            got = _restrict(t, universal_dfa(t.out_alphabet))
+            # the copy keeps only final outputs that are not empty; random_dfst
+            # writes none that are
+            assert _dfst_fields(got) == _dfst_fields(want)
+            assert dfst_to_text(t) == _canonical_text(want)
+
+    def test_empty_output_alphabet(self):
+        t = Dfst(("a", "b"), (), frozenset({4, 7, 9}), 7, frozenset({4}),
+                 {(7, "b"): ("", 4), (7, "a"): ("", 9), (9, "a"): ("", 7)}, {4: ""})
+        got = _restrict(t, universal_dfa(()))
+        want = oracle_bfs_renumbered(t)
+        assert _dfst_fields(got)[:-1] == _dfst_fields(want)[:-1]
+        assert got.final_output == {} and want.final_output == {2: ""}
+        assert dfst_to_text(t) == _canonical_text(want)
+
+
+def _nfas():
+    rng = random.Random(1711)
+    for _ in range(150):
+        n = rng.randint(1, 7)
+        nfa = random_nfa(rng, n, alphabet=rng.choice((("a", "b"), ("b", "a", "c"))),
+                         edge_count=rng.randint(n, 3 * n), eps_prob=rng.choice((0.0, 0.2, 0.4)))
+        for label in LABELS:
+            yield _relabel_nfa(nfa, label)
+
+
+def _kth_from_last(k) -> Nfa:
+    """The k-th symbol from the end is `a`: 2**k reachable subsets."""
+    triples = [(0, "a", 0), (0, "b", 0), (0, "a", 1)]
+    triples += [(i, sym, i + 1) for i in range(1, k) for sym in ("a", "b")]
+    return Nfa(("a", "b"), frozenset(range(k + 1)), frozenset({0}), frozenset({k}),
+               tuple(triples))
+
+
+class TestDeterminize:
+    def test_matches_oracle_field_for_field(self):
+        for nfa in _nfas():
+            assert _dfa_fields(determinize(nfa)) == _dfa_fields(oracle_determinize(nfa))
+
+    def test_empty_start_closure(self):
+        for alphabet in ((), ("a",), ("b", "a")):
+            nfa = Nfa(alphabet, frozenset({3, 5}), frozenset(), frozenset({5}),
+                      tuple((3, sym, 5) for sym in alphabet))
+            got = determinize(nfa)
+            assert _dfa_fields(got) == _dfa_fields(oracle_determinize(nfa)) \
+                == _dfa_fields(empty_dfa(alphabet))
+
+    def test_empty_alphabet(self):
+        nfa = Nfa((), frozenset({0, 1}), frozenset({0}), frozenset({1}), ((0, None, 1),))
+        assert _dfa_fields(determinize(nfa)) == _dfa_fields(oracle_determinize(nfa))
+
+    def test_more_than_a_thousand_subsets(self):
+        nfa = _relabel_nfa(_kth_from_last(10), lambda q: 10**40 + 7 * q)
+        got = determinize(nfa)
+        assert len(got.states) == 1024
+        assert _dfa_fields(got) == _dfa_fields(oracle_determinize(nfa))
+
+
+def _dfas():
+    rng = random.Random(1721)
+    for _ in range(150):
+        d = random_dfa(rng, rng.randint(1, 8), rng.choice((("a", "b"), ("c", "a", "b"))),
+                       density=rng.choice((0.3, 0.6, 0.9)))
+        for label in LABELS:
+            yield _relabel(d, label)
+
+
+class TestCanonicalDfa:
+    def test_matches_oracle(self):
+        for d in _dfas():
+            got, want = canonical_dfa(d), oracle_canonical_dfa(d)
+            assert _dfa_fields(got)[:4] == _dfa_fields(want)[:4]
+            assert got.transitions == want.transitions
+
+    def test_transitions_by_source_then_alphabet_order(self):
+        rng = random.Random(1723)
+        for d in _dfas():
+            edges = list(d.transitions.items())
+            rng.shuffle(edges)
+            shuffled = Dfa(d.alphabet, d.states, d.initial, d.accepting, dict(edges))
+            rank = {sym: k for k, sym in enumerate(d.alphabet)}
+            keys = list(canonical_dfa(shuffled).transitions)
+            assert keys == sorted(keys, key=lambda e: (e[0], rank[e[1]]))
+            want = oracle_canonical_dfa(shuffled)
+            lines = [f"trans {q} {sym} {t}" for (q, sym), t in
+                     sorted(want.transitions.items(), key=lambda e: (e[0][0], rank[e[0][1]]))]
+            text = dfa_to_text(shuffled)
+            assert text == dfa_to_text(d)
+            assert text.splitlines()[5:] == lines
