@@ -9,7 +9,10 @@ number shows only where it is printed, so only serialization (`*_to_text`,
 through `canonical_dfa` and `canonical_nfa`) and `trim` (whose numbers the
 HARD certificate's `q=` names) renumber, in canonical BFS discovery order;
 that makes the output byte-stable. `trim` and `canonical_dfa` share one
-numbering pass, `_numbered`.
+numbering pass, `_numbered`. The machine parsers read a plain text, such
+as the writers' output, in bulk (`_bulk`: one split of the body, its
+tokens taken four at a time) and any other text line by line; both give
+the same machine, and only the line parser raises on a faulty body line.
 
 Inclusion, equivalence and intersection are decided without building a
 product: `_pair_search` walks pairs of side states breadth-first, in
@@ -17,17 +20,19 @@ alphabet order, and stops at the first pair of the wanted kind. Each side
 names its states by int ids: a Dfa the ids 0..n-1 that `_dense` gives its
 n states, the one rule `trim` and `condense` use too; an Nfa its
 epsilon-closed subsets, in order of first reach (`determinize` is that
-side asked for every successor). Successors sit in per-symbol rows,
-`rows[k][i]` for the k-th symbol, filled in only when the walk first
-needs them, so a search that stops early reads only the transitions it
-used. A reached pair keeps only its parent pair and the symbol read, and
-a word is spelled out, along those links, only for a pair that answers
-the search. Equivalence asks for the symmetric difference; there the
-search finishes the level where the first differing pair appears and
-returns the first left-only and the first right-only word of that level,
-and the caller keeps the smaller by `(len(w), w)`, i.e. Python's
-code-point order. That is the answer two one-sided inclusion checks give,
-also on an alphabet declared out of order such as `("b", "a")`.
+side asked for every successor), each stepped as the union of its members'
+closed successors, which are computed once per state and symbol.
+Successors sit in per-symbol rows, `rows[k][i]` for the k-th symbol,
+filled in only when the walk first needs them, so a search that stops
+early reads only the transitions it used. A reached pair keeps only its
+parent pair and the symbol read, and a word is spelled out, along those
+links, only for a pair that answers the search. Equivalence asks for
+the symmetric difference; there the search finishes the level where the
+first differing pair appears and returns the first left-only and the
+first right-only word of that level, and the caller keeps the smaller by
+`(len(w), w)`, i.e. Python's code-point order. That is the answer two
+one-sided inclusion checks give, also on an alphabet declared out of
+order such as `("b", "a")`.
 """
 
 from __future__ import annotations
@@ -141,8 +146,10 @@ class Nfa:
 def _logical_lines(text: str):
     """Yield (line number, tokens) of each non-blank line, in one pass
     over the text; only a line that contains `#` has its comment cut off.
-    The machine, transducer and graph parsers each make exactly one call:
-    they take their fixed header lines with `islice` and read the body
+    The transducer and graph parsers each make exactly one call, and so do
+    the machine parsers for a text that `_bulk` does not take (one with a
+    comment or a blank line, say); a plain machine text makes none. A
+    caller takes its fixed header lines with `islice` and reads the body
     lines one at a time, so a large machine's lines are never all held at
     once (thousands of live token lists would survive into the garbage
     collector's oldest generation and bring on full collections)."""
@@ -188,7 +195,11 @@ def _is_number(tok: str) -> bool:
 def _parse_state_list(toks, no) -> dict[str, int]:
     """The `states` line as its numeral table: each declared state's
     canonical numeral `str(q)` mapped to q. Later tokens look themselves
-    up here, so each state numeral is converted once."""
+    up here, so each state numeral is converted once; the line the writers
+    give, 0..n-1 in order, is taken whole."""
+    n = len(toks)
+    if toks == list(map(str, range(n))):
+        return dict(zip(toks, range(n)))
     numerals = {}
     for tok in toks:
         if not _is_number(tok):
@@ -213,12 +224,14 @@ def _parse_state(tok, numerals, no) -> int:
 
 
 def parse_dfa(text: str) -> Dfa:
-    """Parse the `dfa` text format; rejects duplicate (state, symbol) edges."""
-    return _parse_dfa_lines(_logical_lines(text))
+    """Parse the `dfa` text format; rejects duplicate (state, symbol) edges.
+    A plain text is read in bulk (`_bulk`), any other by the line parser."""
+    return _bulk(text, ("dfa",)) or _parse_dfa_lines(_logical_lines(text))
 
 
 def parse_nfa(text: str) -> Nfa:
-    return _parse_nfa_lines(_logical_lines(text))
+    """Parse the `nfa` text format, in bulk when the text is plain (`_bulk`)."""
+    return _bulk(text, ("nfa",)) or _parse_nfa_lines(_logical_lines(text))
 
 
 def _parse_dfa_lines(lines) -> Dfa:
@@ -292,14 +305,76 @@ def _parse_common(lines):
     no, toks = _section(lines, 3, "initial")
     initials = [_parse_state(t, numerals, no) for t in toks]
     no, toks = _section(lines, 4, "accept")
-    accepting = {_parse_state(t, numerals, no) for t in toks}
+    accepting = set(map(numerals.get, toks))
+    if None in accepting:  # a numeral the table lacks, such as `007`
+        accepting = {_parse_state(t, numerals, no) for t in toks}
     return alphabet, numerals, initials, accepting
 
 
+# the line breaks of `str.splitlines` other than "\n" that ASCII text can hold
+_OTHER_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e"
+
+
+def _bulk(text: str, kinds) -> Dfa | Nfa | None:
+    """The machine of a plain text whose header line is one of `kinds`,
+    read with no pass over its lines; None sends the text to the line
+    parser, which names the line at fault. A plain text is ASCII with no
+    `#`, breaks lines only at "\n", has five non-blank header lines, and
+    every later line starts with `trans ` (so none is blank).
+
+    The body is split once, and its tokens are read four at a time: each
+    state is a lookup in the `states` line's numeral table, and the symbols
+    take one subset test. No `trans` token passes as a state or a symbol,
+    so once every lookup hits, each line holds exactly one edge. A miss
+    (such as `007`), an undeclared symbol, `eps` in a dfa, a duplicate edge
+    or a dfa without exactly one initial state is left to the line parser;
+    a faulty header raises here, from the line parser's own checks."""
+    if "#" in text or not text.isascii() or any(c in text for c in _OTHER_BREAKS):
+        return None
+    lines = text.split("\n", 5)
+    head = [(no, line.split()) for no, line in enumerate(lines[:5], start=1)]
+    if len(head) < 5 or not all(toks for _, toks in head) or len(head[0][1]) != 1:
+        return None
+    kind = head[0][1][0]
+    if kind not in kinds:
+        return None
+    alphabet, numerals, initials, accepting = _parse_common(head)
+    body = lines[5] if len(lines) > 5 else ""
+    toks = body.split()
+    k = len(toks) // 4
+    if body and not (len(toks) == 4 * k and body.startswith("trans ")
+                     and body.count("\ntrans ") == k - 1
+                     and body.count("\n") == k - 1 + body.endswith("\n")):
+        return None
+    symbols = set(alphabet)
+    syms = toks[2::4]
+    if not symbols.issuperset(syms):
+        if kind == "dfa" or not symbols.issuperset(s for s in syms if s != "eps"):
+            return None
+        syms = [EPS if s == "eps" else s for s in syms]
+    get = numerals.__getitem__
+    try:
+        srcs, dsts = list(map(get, toks[1::4])), list(map(get, toks[3::4]))
+    except KeyError:
+        return None
+    states = frozenset(numerals.values())
+    if kind == "nfa":
+        return Nfa(alphabet, states, frozenset(initials), frozenset(accepting),
+                   tuple(zip(srcs, syms, dsts)))
+    transitions = dict(zip(zip(srcs, syms), dsts))
+    if len(transitions) != k or len(initials) != 1:
+        return None
+    return Dfa(alphabet, states, initials[0], frozenset(accepting), transitions)
+
+
 def parse_automaton(text: str) -> Dfa | Nfa:
-    """Parse either machine format, dispatching on the header line. The
-    text is tokenized once and the state numerals converted once, on the
-    `states` line; every later state token is a lookup in that table."""
+    """Parse either machine format, dispatching on the header line. A
+    plain text is read in bulk (`_bulk`); any other is tokenized once, line
+    by line. Either way the state numerals are converted once, on the
+    `states` line, and every later state token is a lookup in that table."""
+    machine = _bulk(text, ("dfa", "nfa"))
+    if machine is not None:
+        return machine
     lines = _logical_lines(text)
     first = next(lines, None)
     if first is None:
@@ -709,7 +784,13 @@ def _side(m: Dfa | Nfa, alphabet):
     `trim` and `condense` use, so each row has n + 1 slots. An Nfa side,
     whose states are epsilon-closed subsets, numbers them in order of
     first reach; `determinize` is this side with every successor asked
-    for. So memory never grows with the value of a state numeral.
+    for. So memory never grows with the value of a state numeral. A
+    subset's successor is the union of its members' closed successors:
+    `closed[sym][q]` holds, as a tuple of ints (which the garbage collector
+    stops tracking; it tracks every frozenset), the epsilon closure of
+    q's moves on sym, computed when a subset first needs it. So `_closure`
+    runs at most once per (state, symbol), however many subsets hold the
+    state, and not at all where no epsilon move leaves the targets.
     """
     if isinstance(m, Dfa):
         initial, accepting, transitions, _ = _dense(m)
@@ -742,11 +823,23 @@ def _side(m: Dfa | Nfa, alphabet):
 
     eps, moves = _index(m)
     accepting = m.accepting
+    closed = {sym: {} for sym in alphabet}
+    has_eps = eps.keys()  # the states an epsilon move leaves
 
     def miss(i, sym):
-        t = _subset_step(names[i], sym, eps, moves)
+        table = closed[sym]
+        t = []
+        for q in names[i]:
+            c = table.get(q)
+            if c is None:
+                c = moves.get((q, sym), ())
+                if not has_eps.isdisjoint(c):
+                    c = _closure(c, eps)
+                c = table[q] = tuple(c)
+            t += c
         if not t:
             return -1
+        t = frozenset(t)
         j = ids.get(t)
         return fresh(t, not accepting.isdisjoint(t)) if j is None else j
 

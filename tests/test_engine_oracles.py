@@ -2,17 +2,20 @@
 renumbering run on the library's shared engines (`transducer._restrict`,
 `automata._side` and `trim`'s numbering pass). Each must build, field for
 field, the machine that its own breadth-first search built before; those
-searches are kept in `helpers` as oracles."""
+searches are kept in `helpers` as oracles. The Nfa side's memoized closed
+successors must give the subsets, ids and words of per-subset closures."""
 
 import random
 
 import pytest
 
 from helpers import (
+    count_calls,
     oracle_bfs_renumbered,
     oracle_canonical_dfa,
     oracle_compose_dfst,
     oracle_determinize,
+    oracle_pair_search,
     random_dfa,
     random_dfst,
     random_nfa,
@@ -28,8 +31,10 @@ from rrkit import (
     dfa_to_text,
     dfst_to_text,
     empty_dfa,
+    merge_alphabets,
     universal_dfa,
 )
+from rrkit.automata import _DIFF, _LEFT, _MEET, _closure, _index, _pair_search, _subset_step
 from rrkit.transducer import _canonical_text, _restrict
 from test_transducer import LABELS, _relabel
 
@@ -150,6 +155,94 @@ class TestDeterminize:
         got = determinize(nfa)
         assert len(got.states) == 1024
         assert _dfa_fields(got) == _dfa_fields(oracle_determinize(nfa))
+
+
+def _looped_nfas():
+    """NFAs with epsilon cycles and epsilon self-loops, some of whose states
+    have no moves, over alphabets of one to three symbols."""
+    rng = random.Random(1801)
+    for _ in range(120):
+        n = rng.randint(1, 8)
+        alphabet = rng.choice((("a",), ("a", "b"), ("b", "a", "c")))
+        idle = set(rng.sample(range(n), rng.randint(0, n - 1)))  # states with no moves
+        triples = set()
+        for _ in range(rng.randint(0, 3 * n)):
+            q, t = rng.randrange(n), rng.randrange(n)
+            sym = rng.choice((None, None, *alphabet))
+            if q not in idle:
+                triples.add((q, sym, t))
+        cycle = rng.sample(range(n), rng.randint(1, n))
+        triples.update((q, None, t) for q, t in zip(cycle, cycle[1:] + cycle[:1]))
+        triples.update((q, None, q) for q in rng.sample(range(n), rng.randint(0, n)))
+        nfa = Nfa(alphabet, frozenset(range(n)),
+                  frozenset(rng.sample(range(n), rng.randint(1, n))),
+                  frozenset(rng.sample(range(n), rng.randint(0, n))),
+                  tuple(sorted(triples, key=repr)))
+        yield _relabel_nfa(nfa, rng.choice(LABELS))
+
+
+def _subset_members(nfa: Nfa) -> set[int]:
+    """The Nfa states that some subset reached from the start closure
+    holds, found by per-subset closures."""
+    eps, moves = _index(nfa)
+    start = _closure(nfa.initial, eps)
+    seen, queue = {start}, [start]
+    for subset in queue:  # the queue grows as the search goes
+        for sym in nfa.alphabet:
+            t = _subset_step(subset, sym, eps, moves)
+            if t and t not in seen:
+                seen.add(t)
+                queue.append(t)
+    return set().union(*seen)
+
+
+class TestClosedSuccessors:
+    """An Nfa side steps a subset by the union of its members' closed
+    successors, each computed once: the subsets, their numbering and every
+    search word stay those of the per-subset closure."""
+
+    def test_determinize_matches_oracle(self):
+        for nfa in _looped_nfas():
+            assert _dfa_fields(determinize(nfa)) == _dfa_fields(oracle_determinize(nfa))
+
+    def test_pair_search_matches_oracle(self):
+        rng = random.Random(1803)
+        machines = list(_looped_nfas())
+        for a in machines:
+            b = rng.choice(machines)
+            if rng.random() < 0.3:
+                b = determinize(b)
+            # `z` is in no machine's alphabet: it kills both sides
+            for alphabet in (merge_alphabets(a.alphabet, b.alphabet),
+                             merge_alphabets(("z",), merge_alphabets(b.alphabet, a.alphabet)),
+                             ("c", "z", "a")):
+                for mode in (_MEET, _LEFT, _DIFF):
+                    assert _pair_search(a, b, alphabet, mode) \
+                        == oracle_pair_search(a, b, alphabet, mode)
+
+    def test_one_closure_per_state_and_symbol(self, monkeypatch):
+        calls = count_calls(monkeypatch, ["_closure"])
+        kth = _kth_from_last(8)
+        # an epsilon self-loop on every state: each move's targets need a
+        # closure, and the 256 subsets share 9 states
+        looped = Nfa(kth.alphabet, kth.states, kth.initial, kth.accepting,
+                     kth.transitions + tuple((q, None, q) for q in kth.states))
+        for nfa in [*_looped_nfas(), kth, looped]:
+            members = _subset_members(nfa)
+            calls["_closure"] = 0
+            determinize(nfa)
+            # the start closure, then at most one per (member, symbol)
+            assert calls["_closure"] <= 1 + len(members) * len(nfa.alphabet)
+        assert len(members) == 9 and calls["_closure"] == 1 + 8 * 2
+
+    def test_at_most_one_closure_per_state_and_symbol_per_side(self, monkeypatch):
+        calls = count_calls(monkeypatch, ["_closure"])
+        machines = list(_looped_nfas())
+        for a, b in zip(machines, machines[1:]):
+            alphabet = merge_alphabets(merge_alphabets(a.alphabet, b.alphabet), ("z",))
+            calls["_closure"] = 0
+            _pair_search(a, b, alphabet, _DIFF)
+            assert calls["_closure"] <= 2 + (len(a.states) + len(b.states)) * len(alphabet)
 
 
 def _dfas():

@@ -1,7 +1,7 @@
 """The front end reads each input once: the parsers against the reference
-parsers in helpers on valid and mutated texts, one tokenizing pass per
-parse, and `cli.main` on one shared argument parser, called repeatedly in
-one process. Files that cannot be read or written and gadget words no
+parsers in helpers on valid and mutated texts, a plain machine text read
+in bulk and any other in one tokenizing pass, and `cli.main` on one shared
+argument parser, called repeatedly in one process. Files that cannot be read or written and gadget words no
 machine text can hold end with exit 2 and an `error:` line."""
 
 import contextlib
@@ -24,12 +24,15 @@ from helpers import (
     oracle_parse_dfst,
     oracle_parse_nfa,
     planted_hard_filter,
+    random_dfa,
     ring_filter,
 )
 from rrkit import (
     Dfst,
     FormatError,
+    Nfa,
     dfa_to_text,
+    nfa_to_text,
     parse_automaton,
     parse_dfa,
     parse_dfst,
@@ -61,9 +64,13 @@ MUTANT_TOKENS = MUTANT_NUMERALS + ["eps", "ab", "a", "trans", "final", "states",
 @st.composite
 def machine_lines(draw, kinds=("dfa", "nfa", "dfst")):
     """A valid machine in one of the formats `kinds`, as token lists, with
-    sparse state ids; now and then a dfa or dfst has an `eps` edge."""
+    state ids 0..n-1 in order (as the writers give them) or sparse ones;
+    now and then a dfa or dfst has an `eps` edge."""
     kind = draw(st.sampled_from(kinds))
-    ids = draw(st.lists(st.integers(0, 12), min_size=1, max_size=5, unique=True))
+    if draw(st.integers(0, 2)):
+        ids = list(range(draw(st.integers(1, 6))))
+    else:
+        ids = draw(st.lists(st.integers(0, 12), min_size=1, max_size=5, unique=True))
     states = [str(q) for q in ids]
     alphabet = draw(st.lists(st.sampled_from("abc"), min_size=1, max_size=3, unique=True))
     lines = [[kind]]
@@ -100,10 +107,14 @@ def machine_lines(draw, kinds=("dfa", "nfa", "dfst")):
     return lines
 
 
+# line breaks of `str.splitlines` that a bulk read must not take for spaces
+BREAKS = ["\x0b", "\x0c", "\x1c", "\x85", "\u2028"]
+
+
 @st.composite
 def machine_text(draw, kinds=("dfa", "nfa", "dfst")):
-    """A valid machine text, or one with a few token- or line-level
-    mutations, with LF or CRLF endings."""
+    """A valid machine text, or one with a few token-, line- or
+    character-level mutations, with LF or CRLF endings."""
     lines = draw(machine_lines(kinds))
     for _ in range(draw(st.sampled_from([0, 0, 1, 2, 3]))):
         k = draw(st.integers(0, len(lines) - 1))
@@ -111,7 +122,8 @@ def machine_text(draw, kinds=("dfa", "nfa", "dfst")):
         numerals = [(i, j) for i, toks in enumerate(lines)
                     for j, tok in enumerate(toks) if tok.isdigit()]
         op = draw(st.sampled_from(["token", "numeral", "pad", "duplicate", "delete",
-                                   "comment", "glued-comment", "blank", "extra-token"]))
+                                   "comment", "glued-comment", "blank", "extra-token",
+                                   "join", "split", "indent", "trailing-blank", "states-007"]))
         if op == "token" and line:
             line[draw(st.integers(0, len(line) - 1))] = draw(st.sampled_from(MUTANT_TOKENS))
         elif op in ("numeral", "pad") and numerals:
@@ -130,8 +142,28 @@ def machine_text(draw, kinds=("dfa", "nfa", "dfst")):
             lines.insert(k, draw(st.sampled_from([[], ["#", "comment"], ["#"]])))
         elif op == "extra-token":
             line.append(draw(st.sampled_from(MUTANT_TOKENS)))
-    eol = draw(st.sampled_from(["\n", "\r\n"]))
-    return eol.join(" ".join(line) for line in lines) + draw(st.sampled_from(["", eol]))
+        elif op == "join" and k + 1 < len(lines):  # two edges on one line, say
+            lines[k:k + 2] = [line + lines[k + 1]]
+        elif op == "split" and len(line) > 1:  # one edge over two lines, say
+            j = draw(st.integers(1, len(line) - 1))
+            lines[k:k + 1] = [line[:j], line[j:]]
+        elif op == "indent" and line:
+            line[0] = draw(st.sampled_from([" ", "\t"])) + line[0]
+        elif op == "trailing-blank":
+            lines += [[]] * draw(st.integers(1, 2))
+        elif op == "states-007":
+            states = [toks for toks in lines if toks[:1] == ["states"]]
+            if states and len(states[0]) > 1:
+                j = draw(st.integers(1, len(states[0]) - 1))
+                states[0][j] = "00" + states[0][j]
+    eol = draw(st.sampled_from(["\n", "\n", "\r\n"]))
+    text = eol.join(" ".join(line) for line in lines) + draw(st.sampled_from(["", eol]))
+    if draw(st.integers(0, 5)) == 0:  # a line break or a space becomes another break
+        spots = [i for i, c in enumerate(text) if c in " \n"]
+        if spots:
+            i = draw(st.sampled_from(spots))
+            text = text[:i] + draw(st.sampled_from(BREAKS)) + text[i + 1:]
+    return text
 
 
 def parsed(parse, text):
@@ -146,12 +178,27 @@ def parsed(parse, text):
     return (type(m).__name__, m.alphabet, m.states, m.initial, m.accepting, m.transitions)
 
 
+def stored_edges(parse, text):
+    """A parsed machine's transitions in the order it holds them, or None
+    for a text that fails."""
+    try:
+        m = parse(text)
+    except FormatError:
+        return None
+    return list(m.transitions.items()) if isinstance(m.transitions, dict) else m.transitions
+
+
+def assert_same_parse(text):
+    for parse, oracle in PARSERS.values():
+        assert parsed(parse, text) == parsed(oracle, text)
+        assert stored_edges(parse, text) == stored_edges(oracle, text)
+
+
 class TestParsersMatchOracles:
     @PROPERTY
     @given(text=machine_text())
     def test_same_fields_or_same_error(self, text):
-        for parse, oracle in PARSERS.values():
-            assert parsed(parse, text) == parsed(oracle, text)
+        assert_same_parse(text)
 
     @pytest.mark.parametrize("text, want", [
         # non-canonical numerals name the same declared states
@@ -170,18 +217,101 @@ class TestParsersMatchOracles:
         assert parsed(parse_automaton, text) == want == parsed(oracle_parse_automaton, text)
 
 
-@pytest.mark.parametrize("parse, text", [
-    (parse_automaton, dfa_to_text(ring_filter(random.Random(3), 30, 2))),
-    (parse_automaton, "nfa\nalphabet a\nstates 0 1\ninitial 0 1\naccept 1\ntrans 0 eps 1\n"),
-    (parse_dfa, dfa_to_text(ring_filter(random.Random(3), 30, 2))),
-    (parse_nfa, "nfa\nalphabet a\nstates 0\ninitial 0\naccept 0\n"),
+RING_TEXT = dfa_to_text(ring_filter(random.Random(3), 30, 2))
+NFA_TEXT = nfa_to_text(Nfa(("a", "b"), frozenset({0, 1, 2}), frozenset({0, 1}), frozenset({2}),
+                           ((0, None, 1), (1, "a", 2), (2, "b", 0), (2, None, 2))))
+
+
+PLAIN_DFA = "dfa\nalphabet a b\nstates 0 1 2\ninitial 0\naccept 2\ntrans 0 a 1\ntrans 1 b 2\n"
+PLAIN_NFA = "nfa\nalphabet a\nstates 0 1\ninitial 0 1\naccept 1\ntrans 0 eps 1\ntrans 1 a 0\n"
+
+# each text differs from a plain one in one way that the bulk reader must
+# leave to the line parser: the line parser either reads it or names its
+# faulty line
+DOUBTS = {
+    "two-edges-on-one-line": PLAIN_DFA.replace("1\ntrans 1", "1 trans 1"),
+    "edge-over-two-lines": PLAIN_DFA.replace("trans 0 a 1\ntrans 1 b 2",
+                                             "trans 0 a\n1 trans 1 b 2"),
+    "edge-split-and-joined": PLAIN_DFA.replace("trans 0 a 1\ntrans 1 b 2",
+                                               "trans 0 a 1 trans\n1 b 2"),
+    "leading-space": PLAIN_DFA.replace("\ntrans 1", "\n trans 1"),
+    "leading-tab": PLAIN_NFA.replace("\ntrans 1", "\n\ttrans 1"),
+    "tab-after-trans": PLAIN_DFA.replace("trans 1", "trans\t1"),
+    **{f"break-{ord(c):x}": PLAIN_DFA.replace("\ntrans 1", c + "trans 1") for c in BREAKS},
+    **{f"break-{ord(c):x}-in-line": PLAIN_DFA.replace("trans 1 b", f"trans 1{c}b")
+       for c in BREAKS},
+    "crlf": PLAIN_NFA.replace("\n", "\r\n"),
+    "trailing-blank-line": PLAIN_DFA + "\n",
+    "trailing-blank-lines": PLAIN_NFA + "\n \n",
+    "blank-header-line": PLAIN_DFA.replace("states", "\nstates"),
+    "comment": PLAIN_DFA + "# done\n",
+    "edge-007": PLAIN_DFA.replace("b 2", "b 002"),
+    "undeclared-state": PLAIN_DFA.replace("b 2", "b 3"),
+    "undeclared-symbol": PLAIN_DFA.replace("b 2", "c 2"),
+    "eps-in-dfa": PLAIN_DFA.replace("b 2", "eps 2"),
+    "duplicate-edge": PLAIN_DFA + "trans 0 a 2\n",
+    "two-initial-states": PLAIN_DFA.replace("initial 0", "initial 0 1"),
+    "no-initial-state": PLAIN_DFA.replace("initial 0", "initial"),
+    "five-tokens": PLAIN_NFA.replace("a 0", "a 0 0"),
+    "three-tokens": PLAIN_NFA.replace("a 0", "a"),
+    "missing-header-line": "nfa\nalphabet a\nstates 0\ninitial 0\n",
+    "non-ascii": PLAIN_DFA.replace("b 2", "b ٢"),
+}
+
+
+@pytest.mark.parametrize("text", DOUBTS.values(), ids=DOUBTS.keys())
+def test_doubtful_text_goes_to_the_line_parser(text, monkeypatch):
+    assert_same_parse(text)
+    calls = count_calls(monkeypatch, ["_logical_lines"])
+    for parse in (parse_automaton, parse_dfa if text.startswith("dfa") else parse_nfa):
+        parsed(parse, text)
+    assert calls == {"_logical_lines": 2}
+
+
+def test_large_writer_output_read_in_bulk(monkeypatch):
+    rng = random.Random(18)
+    d = random_dfa(rng, 600, alphabet=("a", "b", "c"), density=0.9)
+    n = Nfa(("a", "b"), frozenset(range(600)), frozenset({0, 7}), frozenset(range(0, 600, 3)),
+            tuple((rng.randrange(600), rng.choice(["a", "b", None]), rng.randrange(600))
+                  for _ in range(2400)))
+    texts = [dfa_to_text(d), nfa_to_text(n)]
+    for text in texts:
+        assert_same_parse(text)
+    calls = count_calls(monkeypatch, ["_logical_lines"])
+    assert len(parse_dfa(texts[0]).states) > 500 < len(parse_nfa(texts[1]).states)
+    assert calls == {"_logical_lines": 0}
+    # one faulty edge near the end sends the whole text to the line parser
+    faulty = texts[0][:-1] + "99\n"
+    assert parsed(parse_automaton, faulty) == parsed(oracle_parse_automaton, faulty)
+    assert calls == {"_logical_lines": 1}
+
+
+@pytest.mark.parametrize("parse, text, passes", [
+    # the writers' output is plain: read in bulk, with no pass over lines
+    (parse_automaton, RING_TEXT, 0),
+    (parse_automaton, NFA_TEXT, 0),
+    (parse_dfa, RING_TEXT, 0),
+    (parse_nfa, NFA_TEXT, 0),
+    (parse_nfa, "nfa\nalphabet a\nstates 0\ninitial 0\naccept 0\n", 0),
+    # `002` on the `states` line enters the numeral table as `2`, in bulk
+    # as in the line parser, so the edges' `2` is found
+    (parse_automaton, PLAIN_DFA.replace("states 0 1 2", "states 0 1 002"), 0),
+    # a comment or a blank line sends a text to one tokenizing pass
+    (parse_automaton, RING_TEXT.replace("\n", " # ring\n", 1), 1),
+    (parse_automaton, NFA_TEXT + "\n", 1),
+    (parse_dfa, RING_TEXT.replace("\n", "\n\n", 3), 1),
+    (parse_nfa, "# nfa\n" + NFA_TEXT, 1),
     (parse_dfst, "dfst\nin_alphabet a\nout_alphabet a\nstates 0\ninitial 0\naccept 0\n"
-                 "trans 0 a a 0\nfinal 0 a\n"),
-], ids=["automaton-dfa", "automaton-nfa", "dfa", "nfa", "dfst"])
-def test_one_tokenizing_pass_per_parse(parse, text, monkeypatch):
+                 "trans 0 a a 0\nfinal 0 a\n", 1),
+], ids=["automaton-dfa", "automaton-nfa", "dfa", "nfa", "nfa-no-edges", "states-007",
+        "automaton-dfa-comment",
+        "automaton-nfa-blank", "dfa-blank", "nfa-comment", "dfst"])
+def test_one_tokenizing_pass_per_parse(parse, text, passes, monkeypatch):
+    """At most one pass over a text's lines: none for a plain machine text,
+    which `_bulk` reads, and one for any other text."""
     calls = count_calls(monkeypatch, ["_logical_lines"])
     parse(text)
-    assert calls == {"_logical_lines": 1}
+    assert calls == {"_logical_lines": passes}
 
 
 # ---------------------------------------------------------------------------
