@@ -11,8 +11,9 @@ HARD certificate's `q=` names) renumber, in canonical BFS discovery order;
 that makes the output byte-stable. `trim` and `canonical_dfa` share one
 numbering pass, `_numbered`. The machine parsers read a plain text, such
 as the writers' output, in bulk (`_bulk`: one split of the body, its
-tokens taken four at a time) and any other text line by line; both give
-the same machine, and only the line parser raises on a faulty body line.
+tokens taken four at a time) and any other text line by line, with one
+line parser for both kinds (`_parse_lines`); both give the same machine,
+and only the line parser raises on a faulty body line.
 
 Inclusion, equivalence and intersection are decided without building a
 product: `_pair_search` walks pairs of side states breadth-first, in
@@ -41,7 +42,7 @@ import math
 import sys
 from collections import deque
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import islice
 
 
 class FormatError(ValueError):
@@ -226,74 +227,68 @@ def _parse_state(tok, numerals, no) -> int:
 def parse_dfa(text: str) -> Dfa:
     """Parse the `dfa` text format; rejects duplicate (state, symbol) edges.
     A plain text is read in bulk (`_bulk`), any other by the line parser."""
-    return _bulk(text, ("dfa",)) or _parse_dfa_lines(_logical_lines(text))
+    return _bulk(text, ("dfa",)) or _parse_lines(_logical_lines(text), ("dfa",))
 
 
 def parse_nfa(text: str) -> Nfa:
     """Parse the `nfa` text format, in bulk when the text is plain (`_bulk`)."""
-    return _bulk(text, ("nfa",)) or _parse_nfa_lines(_logical_lines(text))
+    return _bulk(text, ("nfa",)) or _parse_lines(_logical_lines(text), ("nfa",))
 
 
-def _parse_dfa_lines(lines) -> Dfa:
+def _parse_lines(lines, kinds) -> Dfa | Nfa:
+    """The machine of the tokenized lines whose header line is one of
+    `kinds`, checked line by line: the first faulty line raises, named by
+    its number. With one kind a missing or other header is named as a
+    missing or unexpected keyword, with both as empty input or an unknown
+    header."""
     head = list(islice(lines, 5))
-    no, rest = _section(head, 0, "dfa")
-    if rest:
+    if len(kinds) == 1:
+        _section(head, 0, kinds[0])
+    elif not head:
+        raise FormatError("empty input")
+    no, toks = head[0]
+    kind = toks[0]
+    if kind not in kinds:
+        raise FormatError(f"unknown header `{kind}`", no)
+    if len(toks) > 1:
         raise FormatError("unexpected tokens after header", no)
     alphabet, numerals, initials, accepting = _parse_common(head)
-    if len(initials) != 1:
+    dfa = kind == "dfa"
+    if dfa and len(initials) != 1:
         raise FormatError("a dfa needs exactly one initial state", head[3][0])
+    want = "want `trans <src> <symbol> <dst>`" if dfa \
+        else "want `trans <src> <symbol|eps> <dst>`"
     symbols = set(alphabet)
     transitions: dict[tuple[int, str], int] = {}
+    triples: list[tuple[int, str | None, int]] = []  # a repeated nfa line stays twice
     for no, toks in lines:
         if toks[0] != "trans":
             raise FormatError(f"unexpected `{toks[0]}`", no)
         if len(toks) != 4:
-            raise FormatError("want `trans <src> <symbol> <dst>`", no)
+            raise FormatError(want, no)
         _, s, sym, d = toks
         src = numerals.get(s)
         if src is None:
             src = _parse_state(s, numerals, no)
         if sym == "eps":
-            raise FormatError("eps transitions are not allowed in a dfa", no)
-        if sym not in symbols:
-            raise FormatError(f"undeclared symbol {sym!r}", no)
-        dst = numerals.get(d)
-        if dst is None:
-            dst = _parse_state(d, numerals, no)
-        if (src, sym) in transitions:
-            raise FormatError(f"duplicate transition from state {src} on {sym!r}", no)
-        transitions[(src, sym)] = dst
-    return Dfa(alphabet, frozenset(numerals.values()), initials[0], frozenset(accepting),
-               transitions)
-
-
-def _parse_nfa_lines(lines) -> Nfa:
-    head = list(islice(lines, 5))
-    no, rest = _section(head, 0, "nfa")
-    if rest:
-        raise FormatError("unexpected tokens after header", no)
-    alphabet, numerals, initials, accepting = _parse_common(head)
-    symbols = set(alphabet)
-    triples: list[tuple[int, str | None, int]] = []
-    for no, toks in lines:
-        if toks[0] != "trans":
-            raise FormatError(f"unexpected `{toks[0]}`", no)
-        if len(toks) != 4:
-            raise FormatError("want `trans <src> <symbol|eps> <dst>`", no)
-        _, s, sym, d = toks
-        src = numerals.get(s)
-        if src is None:
-            src = _parse_state(s, numerals, no)
-        if sym == "eps":
-            sym = None
+            if dfa:
+                raise FormatError("eps transitions are not allowed in a dfa", no)
+            sym = EPS
         elif sym not in symbols:
             raise FormatError(f"undeclared symbol {sym!r}", no)
         dst = numerals.get(d)
         if dst is None:
             dst = _parse_state(d, numerals, no)
-        triples.append((src, sym, dst))
-    return Nfa(alphabet, frozenset(numerals.values()), frozenset(initials),
-               frozenset(accepting), tuple(triples))
+        if not dfa:
+            triples.append((src, sym, dst))
+        elif (src, sym) in transitions:
+            raise FormatError(f"duplicate transition from state {src} on {sym!r}", no)
+        else:
+            transitions[src, sym] = dst
+    states = frozenset(numerals.values())
+    if not dfa:
+        return Nfa(alphabet, states, frozenset(initials), frozenset(accepting), tuple(triples))
+    return Dfa(alphabet, states, initials[0], frozenset(accepting), transitions)
 
 
 def _parse_common(lines):
@@ -372,19 +367,7 @@ def parse_automaton(text: str) -> Dfa | Nfa:
     plain text is read in bulk (`_bulk`); any other is tokenized once, line
     by line. Either way the state numerals are converted once, on the
     `states` line, and every later state token is a lookup in that table."""
-    machine = _bulk(text, ("dfa", "nfa"))
-    if machine is not None:
-        return machine
-    lines = _logical_lines(text)
-    first = next(lines, None)
-    if first is None:
-        raise FormatError("empty input")
-    head = first[1][0]
-    if head == "dfa":
-        return _parse_dfa_lines(chain([first], lines))
-    if head == "nfa":
-        return _parse_nfa_lines(chain([first], lines))
-    raise FormatError(f"unknown header `{head}`", first[0])
+    return _bulk(text, ("dfa", "nfa")) or _parse_lines(_logical_lines(text), ("dfa", "nfa"))
 
 
 def _kw_line(keyword: str, items) -> str:

@@ -531,6 +531,8 @@ def classification_from_text(text: str) -> Classification:
         ))
     if kind != "easy":
         raise FormatError(f"unknown certificate kind `{toks[0]}`", no)
+    if len(toks) > 1:
+        raise FormatError("unexpected tokens after header", no)
     exprs: list[BoundedExpr] = []
     envelope_words: tuple[str, ...] | None = None
     for no, toks in lines:
@@ -544,9 +546,10 @@ def classification_from_text(text: str) -> Classification:
             blocks: list[tuple[str, str]] = []
             if blocks_text:
                 for piece in blocks_text.split(";"):
-                    if not (piece.startswith("(") and piece.endswith(")") and "," in piece):
+                    if not (piece.startswith("(") and piece.endswith(")")
+                            and piece.count(",") == 1):
                         raise FormatError(f"bad block `{piece}`", no)
-                    x, y = piece[1:-1].split(",", 1)
+                    x, y = piece[1:-1].split(",")
                     blocks.append((word_from_text(x), word_from_text(y)))
             exprs.append(BoundedExpr(prefix, tuple(blocks)))
         elif toks[0] == "envelope":

@@ -25,6 +25,7 @@ from .automata import (
     _is_number,
     _logical_lines,
     _pair_search,
+    _section,
     merge_alphabets,
     run,
     run_nfa,
@@ -154,14 +155,10 @@ def parse_digraph(text: str) -> Digraph:
         raise FormatError("expected header `graph`", head[0][0] if head else None)
 
     def int_line(i, keyword):
-        if i >= len(head):
-            raise FormatError(f"missing `{keyword}` line")
-        no, toks = head[i]
-        if toks[0] != keyword:
-            raise FormatError(f"expected `{keyword}`, got `{toks[0]}`", no)
-        if len(toks) != 2 or not _is_number(toks[1]):
+        no, toks = _section(head, i, keyword)
+        if len(toks) != 1 or not _is_number(toks[0]):
             raise FormatError(f"want `{keyword} <number>`", no)
-        return no, int(toks[1])
+        return no, int(toks[0])
 
     no, nodes = int_line(1, "nodes")
     no, source = int_line(2, "source")

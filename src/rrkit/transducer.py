@@ -13,16 +13,17 @@ yields the machine computing t2(t1(x)).
 
 Running a transducer in step with a machine that reads its output is one
 construction, `_restrict`, over the reachable (transducer state, reader
-state) pairs. `compose_dfst` is it with a transducer as the reader, and
+state) pairs. `compose_dfst` is it with a transducer as the reader,
 `preimage_automaton` its pairs with a DFA as the reader and their outputs
-left off; `rrkit.cover` restricts a dispatch trie to its target with it,
-and `dfst_to_text` renumbers a machine breadth-first by running it in
-step with the DFA of all words over its output alphabet.
+left off, and `image_nfa` its pairs with a DFA's copy machine as the
+transducer and the transducer as the reader, each output spelled out as a
+path of letters; `rrkit.cover` restricts a dispatch trie to its target
+with it, and `dfst_to_text` renumbers a machine breadth-first by running
+it in step with the DFA of all words over its output alphabet.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import islice
@@ -200,55 +201,44 @@ def preimage_automaton(t: Dfst, a: Dfa) -> Dfa:
 def image_nfa(t: Dfst, a: Dfa) -> Nfa:
     """Recognizer of { t(x) : x ∈ L(a), t(x) defined }.
 
-    Pair states track the joint run; a transition emitting a word becomes a
-    path over its letters (an epsilon edge when the word is empty), and
-    final outputs become suffix paths into a single accepting sink.
+    The pairs of `_restrict` with a's copy machine, which writes each
+    letter it reads, as the transducer and t as the writing reader: each
+    pair edge's output becomes a path over its letters (an epsilon edge
+    when the output is empty), and each accepting pair's final output a
+    path into a single accepting sink.
     """
     if not set(a.alphabet) <= set(t.in_alphabet):
         raise AlphabetError("automaton uses symbols the transducer cannot read")
-    ids: dict[tuple, int] = {}
-
-    def node(key) -> int:
-        j = ids.get(key)
-        if j is None:
-            j = ids[key] = len(ids)
-        return j
-
-    sink = node(("acc",))
-    start = node((t.initial, a.initial))
-    queue = deque([(t.initial, a.initial)])
-    seen = {(t.initial, a.initial)}
+    copy = Dfst(a.alphabet, a.alphabet, a.states, a.initial, a.accepting,
+                {(q, sym): (sym, dst) for (q, sym), dst in a.transitions.items()})
+    pairs = _restrict(copy, t)
+    # the sink is 0 and the start pair 1; a pair's node is taken when an
+    # edge first reaches it, before the nodes of that edge's path
+    node = [1] + [0] * (len(pairs.states) - 1)
+    size = 2
     triples: list[tuple[int, str | None, int]] = []
 
-    def emit_path(src: int, word: str, dst: int, tag):
-        if not word:
-            triples.append((src, EPS, dst))
-            return
-        cur = src
-        for k, c in enumerate(word[:-1]):
-            nxt = node(("path", tag, k))
-            triples.append((cur, c, nxt))
-            cur = nxt
-        triples.append((cur, word[-1], dst))
+    def path(src: int, word: str, dst: int):
+        nonlocal size
+        for c in word[:-1]:
+            triples.append((src, c, size))
+            src = size
+            size += 1
+        triples.append((src, word[-1:] or EPS, dst))
 
-    while queue:
-        pair = queue.popleft()
-        qt, qa = pair
-        i = ids[pair]
-        if qt in t.accepting and qa in a.accepting:
-            emit_path(i, t.final_output.get(qt, ""), sink, ("fin", pair))
+    for i, src in enumerate(node):  # pair i's node is set before the pass reaches it
+        if i in pairs.accepting:
+            path(src, pairs.final_output.get(i, ""), 0)
         for sym in a.alphabet:
-            qa2 = a.transitions.get((qa, sym))
-            tr = t.transitions.get((qt, sym))
-            if qa2 is None or tr is None:
-                continue
-            out, qt2 = tr
-            if (qt2, qa2) not in seen:
-                seen.add((qt2, qa2))
-                queue.append((qt2, qa2))
-            emit_path(i, out, node((qt2, qa2)), ("step", pair, sym))
-    return Nfa(t.out_alphabet, frozenset(ids.values()), frozenset({start}),
-               frozenset({sink}), tuple(triples))
+            move = pairs.transitions.get((i, sym))
+            if move is not None:
+                out, j = move
+                if not node[j]:
+                    node[j] = size
+                    size += 1
+                path(src, out, node[j])
+    return Nfa(t.out_alphabet, frozenset(range(size)), frozenset({1}), frozenset({0}),
+               tuple(triples))
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,6 @@ from rrkit import (
     condense,
     determinize,
     empty_dfa,
-    image_nfa,
     merge_alphabets,
     normalize_witness,
     primitive_root,
@@ -360,7 +359,7 @@ def oracle_solve_rr_nfa(filter_nfa: Nfa, a: Nfa):
 def oracle_cover_gap(t: Dfst, f: Dfa, r: Dfa):
     """None when image(t over f) equals L(r), else a separating word
     tagged "image" or "target"; the image side wins ties."""
-    image = image_nfa(t, f)
+    image = oracle_image_nfa(t, f)
     alpha = merge_alphabets(image.alphabet, r.alphabet)
     image_dfa = determinize(widen_nfa(image, alpha))
     target_dfa = widen_dfa(r, alpha)
@@ -892,7 +891,7 @@ def oracle_surjection_to_star(f: Dfa, witness: HardnessWitness, letters) -> Dfst
     verify_witness(f, witness)
     plan = plan_cover(witness, letters)
     t = _build_dispatch(plan, witness.access, f.alphabet)
-    gap = separating_word(image_nfa(t, f), universal_dfa(plan.letters))
+    gap = separating_word(oracle_image_nfa(t, f), universal_dfa(plan.letters))
     if gap is not None:
         raise CertificateError(
             f"surjection image differs from the full language on {gap!r}")
@@ -919,7 +918,7 @@ def oracle_cover(f: Dfa, r: Dfa) -> Dfst:
     surjection = oracle_surjection_to_star(f, verdict.witness, letters)
     copier = identity_transducer(widen_dfa(r, letters))
     combined = compose_dfst(surjection, copier)
-    gap = separating_word(image_nfa(combined, f), dfa_as_nfa(r))
+    gap = separating_word(oracle_image_nfa(combined, f), dfa_as_nfa(r))
     if gap is not None:
         raise CertificateError(f"cover image differs from the target on {gap!r}")
     return combined
@@ -1188,9 +1187,9 @@ def oracle_parse_dfst(text: str) -> Dfst:
 
 # ---------------------------------------------------------------------------
 # the library's own breadth-first searches, before composition, transducer
-# renumbering, determinization and DFA renumbering ran on its shared
-# engines (`transducer._restrict`, `automata._side`, `automata._numbered`);
-# kept as differential oracles
+# renumbering, the image, determinization and DFA renumbering ran on its
+# shared engines (`transducer._restrict`, `automata._side`,
+# `automata._numbered`); kept as differential oracles
 
 
 def oracle_compose_dfst(t1: Dfst, t2: Dfst) -> Dfst:
@@ -1229,6 +1228,60 @@ def oracle_compose_dfst(t1: Dfst, t2: Dfst) -> Dfst:
             transitions[(i, sym)] = (out, j)
     return Dfst(t1.in_alphabet, t2.out_alphabet, frozenset(ids.values()), 0,
                 frozenset(accepting), transitions, final_output)
+
+
+def oracle_image_nfa(t: Dfst, a: Dfa) -> Nfa:
+    """Recognizer of { t(x) : x ∈ L(a), t(x) defined }.
+
+    Pair states track the joint run; a transition emitting a word becomes a
+    path over its letters (an epsilon edge when the word is empty), and
+    final outputs become suffix paths into a single accepting sink.
+    """
+    if not set(a.alphabet) <= set(t.in_alphabet):
+        raise AlphabetError("automaton uses symbols the transducer cannot read")
+    ids: dict[tuple, int] = {}
+
+    def node(key) -> int:
+        j = ids.get(key)
+        if j is None:
+            j = ids[key] = len(ids)
+        return j
+
+    sink = node(("acc",))
+    start = node((t.initial, a.initial))
+    queue = deque([(t.initial, a.initial)])
+    seen = {(t.initial, a.initial)}
+    triples: list[tuple[int, str | None, int]] = []
+
+    def emit_path(src: int, word: str, dst: int, tag):
+        if not word:
+            triples.append((src, EPS, dst))
+            return
+        cur = src
+        for k, c in enumerate(word[:-1]):
+            nxt = node(("path", tag, k))
+            triples.append((cur, c, nxt))
+            cur = nxt
+        triples.append((cur, word[-1], dst))
+
+    while queue:
+        pair = queue.popleft()
+        qt, qa = pair
+        i = ids[pair]
+        if qt in t.accepting and qa in a.accepting:
+            emit_path(i, t.final_output.get(qt, ""), sink, ("fin", pair))
+        for sym in a.alphabet:
+            qa2 = a.transitions.get((qa, sym))
+            tr = t.transitions.get((qt, sym))
+            if qa2 is None or tr is None:
+                continue
+            out, qt2 = tr
+            if (qt2, qa2) not in seen:
+                seen.add((qt2, qa2))
+                queue.append((qt2, qa2))
+            emit_path(i, out, node((qt2, qa2)), ("step", pair, sym))
+    return Nfa(t.out_alphabet, frozenset(ids.values()), frozenset({start}),
+               frozenset({sink}), tuple(triples))
 
 
 def oracle_bfs_renumbered(t: Dfst) -> Dfst:

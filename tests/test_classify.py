@@ -17,6 +17,7 @@ from rrkit import (
     CertificateError,
     Dfa,
     Easy,
+    FormatError,
     Hard,
     HardnessWitness,
     classification_from_text,
@@ -359,3 +360,15 @@ class TestCertificateText:
         verdict = classify(SIGMA_STAR)
         text = classification_to_text(verdict).replace("hard", "HARD", 1)
         assert classification_from_text(text) == verdict
+
+    def test_tokens_after_easy_header_rejected(self):
+        with pytest.raises(FormatError) as err:
+            classification_from_text("easy extra tokens\nenvelope a\n")
+        assert str(err.value) == "line 1: unexpected tokens after header"
+        assert err.value.line == 1
+
+    def test_block_with_two_commas_rejected(self):
+        with pytest.raises(FormatError) as err:
+            classification_from_text("easy\nexpr p=- blocks=(a,-);(a,b,c)\nenvelope a\n")
+        assert str(err.value) == "line 2: bad block `(a,b,c)`"
+        assert err.value.line == 2

@@ -1,5 +1,5 @@
-"""Composition, transducer renumbering, determinization and DFA
-renumbering run on the library's shared engines (`transducer._restrict`,
+"""Composition, transducer renumbering, the image, determinization and
+DFA renumbering run on the library's shared engines (`transducer._restrict`,
 `automata._side` and `trim`'s numbering pass). Each must build, field for
 field, the machine that its own breadth-first search built before; those
 searches are kept in `helpers` as oracles. The Nfa side's memoized closed
@@ -15,6 +15,7 @@ from helpers import (
     oracle_canonical_dfa,
     oracle_compose_dfst,
     oracle_determinize,
+    oracle_image_nfa,
     oracle_pair_search,
     random_dfa,
     random_dfst,
@@ -31,10 +32,15 @@ from rrkit import (
     dfa_to_text,
     dfst_to_text,
     empty_dfa,
+    image_nfa,
     merge_alphabets,
+    nfa_to_text,
+    parse_dfa,
+    parse_dfst,
     universal_dfa,
 )
 from rrkit.automata import _DIFF, _LEFT, _MEET, _closure, _index, _pair_search, _subset_step
+from rrkit.cli import main
 from rrkit.transducer import _canonical_text, _restrict
 from test_transducer import LABELS, _relabel
 
@@ -113,6 +119,76 @@ class TestRenumberTransducer:
         assert _dfst_fields(got)[:-1] == _dfst_fields(want)[:-1]
         assert got.final_output == {} and want.final_output == {2: ""}
         assert dfst_to_text(t) == _canonical_text(want)
+
+
+
+def _nfa_fields(n: Nfa):
+    return n.alphabet, n.states, n.initial, n.accepting, n.transitions
+
+
+def _image_cases():
+    """Transducers writing 0 to 3 letters per edge, some with final
+    outputs, against DFAs over their whole input alphabet or a proper
+    subset of it, each machine under every relabelling."""
+    rng = random.Random(1731)
+    for _ in range(60):
+        t = random_dfst(rng, rng.randint(1, 6), in_alphabet=("b", "a", "c"),
+                        out_alphabet=rng.choice((("a", "b"), ("c",), ("z", "a", "b"))),
+                        density=rng.choice((0.5, 0.9)), max_out=3, final_prob=0.5)
+        a = random_dfa(rng, rng.randint(1, 6),
+                       rng.choice((("b", "a", "c"), ("a", "b"), ("c",), ())),
+                       density=rng.choice((0.5, 0.9)))
+        for label_t in LABELS:
+            for label_a in LABELS:
+                yield _relabel(t, label_t), _relabel(a, label_a)
+
+
+class TestImage:
+    def test_matches_oracle_field_for_field(self):
+        seen = {"final": 0, "subset": 0, "eps": 0, "long": 0}
+        for t, a in _image_cases():
+            got = image_nfa(t, a)
+            assert _nfa_fields(got) == _nfa_fields(oracle_image_nfa(t, a))
+            outputs = [out for out, _ in t.transitions.values()]
+            seen["final"] += any(t.final_output.values())
+            seen["subset"] += set(a.alphabet) < set(t.in_alphabet)
+            seen["eps"] += "" in outputs
+            seen["long"] += any(len(out) == 3 for out in outputs)
+        assert min(seen.values()) > 100
+
+    def test_sparse_state_numbers(self):
+        t = Dfst(("a", "b"), ("x", "y"), frozenset({-4, 9, 10**30}), 10**30,
+                 frozenset({-4, 10**30}),
+                 {(10**30, "a"): ("xy", -4), (-4, "b"): ("", 9), (9, "a"): ("yyx", 10**30),
+                  (-4, "a"): ("x", -4)},
+                 {-4: "yx"})
+        a = Dfa(("a", "b"), frozenset({3, 70, 5000}), 70, frozenset({3, 70}),
+                {(70, "a"): 3, (3, "b"): 5000, (5000, "a"): 70, (3, "a"): 3})
+        got = image_nfa(t, a)
+        assert _nfa_fields(got) == _nfa_fields(oracle_image_nfa(t, a))
+        assert got.transitions[:3] == ((1, None, 0), (1, "x", 3), (3, "y", 2))
+
+    def test_alphabet_check_comes_first(self):
+        t = random_dfst(random.Random(1733), 3)
+        a = universal_dfa(("a", "z"))
+        with pytest.raises(AlphabetError):
+            image_nfa(t, a)
+        with pytest.raises(AlphabetError):
+            oracle_image_nfa(t, a)
+
+    def test_cli_image_matches_oracle(self, tmp_path, capsys):
+        rng = random.Random(1737)
+        t_path, a_path = tmp_path / "t.txt", tmp_path / "a.txt"
+        for _ in range(40):
+            t = random_dfst(rng, rng.randint(1, 8), in_alphabet=("a", "b", "c"),
+                            max_out=3, final_prob=0.5)
+            a = random_dfa(rng, rng.randint(1, 8), rng.choice((("a", "b", "c"), ("b", "a"))))
+            t_path.write_text(dfst_to_text(t))
+            a_path.write_text(dfa_to_text(a))
+            assert main(["image", str(t_path), str(a_path)]) == 0
+            want = nfa_to_text(oracle_image_nfa(parse_dfst(t_path.read_text()),
+                                                parse_dfa(a_path.read_text())))
+            assert capsys.readouterr().out == want
 
 
 def _nfas():

@@ -262,6 +262,18 @@ class TestDigraph:
         with pytest.raises(FormatError):
             parse_digraph("graph\nnodes 2\nsource 9\ntarget 1\n")
 
+    @pytest.mark.parametrize("text, message, line", [
+        ("graph\nnodes 2\n", "missing `source` line", None),
+        ("graph\nnodes 2\nnodes 2\ntarget 1\n", "expected `source`, got `nodes`", 3),
+        ("graph\nnodes x\nsource 0\ntarget 1\n", "want `nodes <number>`", 2),
+        ("graph\nnodes 1 2\nsource 0\ntarget 1\n", "want `nodes <number>`", 2),
+    ])
+    def test_header_messages(self, text, message, line):
+        with pytest.raises(FormatError) as err:
+            parse_digraph(text)
+        assert str(err.value) == (message if line is None else f"line {line}: {message}")
+        assert err.value.line == line
+
     def test_constructor_validates(self):
         with pytest.raises(ValueError):
             Digraph(2, ((0, 3),), 0, 1)
