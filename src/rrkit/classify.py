@@ -28,6 +28,12 @@ v at q outside x*; a single regular-inclusion check finds the shortest such
 v. v cannot commute with u (two commuting cycles are powers of one root),
 so (u v, v u) is an equal-length, prefix-incomparable pair witnessing
 hardness. Easy machines make no inclusion check at all.
+
+Both cycle searches run on the trimmed machine itself, started and
+accepted at q, with no copy of q's component. That is exact: a word that
+leaves q's component never returns to q, so the words looping at q, and
+their shortest, alphabet-first member, are the same with or without the
+component's boundary.
 """
 
 from __future__ import annotations
@@ -127,56 +133,23 @@ def normalize_witness(u0: str, v0: str) -> tuple[str, str]:
 # hardness detection
 
 
-def _shortest_path_word(d: Dfa, starts, goals) -> str | None:
-    goals = set(goals)
-    for q in sorted(starts):
-        if q in goals:
-            return ""
-    seen = set(starts)
-    queue = deque((q, "") for q in sorted(starts))
+def _shortest_word(d: Dfa, start: int, goals) -> str | None:
+    """Shortest nonempty word leading from `start` into `goals`, first in
+    alphabet order; None when there is none."""
+    seen = {start}
+    queue = deque([(start, "")])
     while queue:
         q, word = queue.popleft()
         for sym in d.alphabet:
             t = d.transitions.get((q, sym))
-            if t is None or t in seen:
+            if t is None:
                 continue
             if t in goals:
-                return word + sym
-            seen.add(t)
-            queue.append((t, word + sym))
-    return None
-
-
-def _shortest_cycle(d: Dfa, q: int, component) -> str:
-    """Shortest nonempty word looping at q without leaving its component."""
-    queue = deque([(q, "")])
-    seen = set()
-    while queue:
-        cur, word = queue.popleft()
-        for sym in d.alphabet:
-            t = d.transitions.get((cur, sym))
-            if t is None or t not in component:
-                continue
-            if t == q:
                 return word + sym
             if t not in seen:
                 seen.add(t)
                 queue.append((t, word + sym))
-    raise CertificateError("state in a cycle-bearing component has no cycle")
-
-
-def _cycle_dfa(d: Dfa, q: int, component) -> Dfa:
-    """All words looping at q while staying inside q's component: the
-    component's own edges as a partial Dfa, started and accepted at q. It
-    keeps all of d's states, which the edges leave unreached, so that
-    `_dense`, the pair search's one numbering rule, takes d's numbers as
-    they are."""
-    transitions = {
-        (src, sym): dst
-        for (src, sym), dst in d.transitions.items()
-        if src in component and dst in component
-    }
-    return Dfa(d.alphabet, d.states, q, frozenset({q}), transitions)
+    return None
 
 
 def _power_dfa(x: str, alphabet) -> Dfa:
@@ -196,9 +169,12 @@ def _inner_successors(d: Dfa, q: int, scc_of) -> list[tuple[str, int]]:
 
 
 def _find_witness(ft: Dfa, cond: Condensation) -> HardnessWitness | None:
-    """Witness at the smallest state of a branching component of the
+    """Witness at the smallest state q of a branching component of the
     trimmed machine `ft` (condensed as `cond`), or None when every
-    nontrivial component is a ring."""
+    nontrivial component is a ring. u0 is the shortest cycle at q; v0, the
+    shortest cycle at q outside primitive_root(u0)*, comes from one
+    inclusion check against `ft` started and accepted at q. The access and
+    exit words are shortest words into q and into acceptance."""
     # components are numbered by their smallest state, so the first
     # branching one holds the smallest state of any branching component
     for comp_idx, component in enumerate(cond.components):
@@ -208,15 +184,15 @@ def _find_witness(ft: Dfa, cond: Condensation) -> HardnessWitness | None:
     else:
         return None
     q = min(component)
-    u0 = _shortest_cycle(ft, q, component)
+    u0 = _shortest_word(ft, q, {q})
     x = primitive_root(u0)
     v0 = inclusion_counterexample(_power_dfa(x, ft.alphabet),
-                                  _cycle_dfa(ft, q, component))
+                                  Dfa(ft.alphabet, ft.states, q, frozenset({q}), ft.transitions))
     if v0 is None:
         raise CertificateError(f"branching component at state {q} has no cycle outside {x}*")
     cycle_a, cycle_b = normalize_witness(u0, v0)
-    access = _shortest_path_word(ft, {ft.initial}, {q})
-    exit_word = _shortest_path_word(ft, {q}, ft.accepting)
+    access = "" if ft.initial == q else _shortest_word(ft, ft.initial, {q})
+    exit_word = "" if q in ft.accepting else _shortest_word(ft, q, ft.accepting)
     if access is None or exit_word is None:
         raise CertificateError(f"witness state {q} is not live in the trimmed filter")
     return HardnessWitness(q, access, cycle_a, cycle_b, exit_word)
@@ -268,27 +244,15 @@ def _forced_ring(d: Dfa, entry: int, component, scc_of) -> tuple[str, list[int]]
         ring.append(q)
 
 
-def _segments_to_expr(segments) -> BoundedExpr:
-    prefix: list[str] = []
-    blocks: list[list[str]] = []
-    for kind, word in segments:
-        if kind == "lit":
-            if blocks:
-                blocks[-1][1] += word
-            else:
-                prefix.append(word)
-        else:
-            blocks.append([word, ""])
-    return BoundedExpr("".join(prefix), tuple((x, y) for x, y in blocks))
-
-
 def _easy_exprs(ft: Dfa, cond: Condensation) -> tuple[BoundedExpr, ...]:
     """Enumerate accepting run shapes through the component DAG of the
     trimmed machine `ft` (condensed as `cond`).
 
+    A partial expression is the flat tuple (prefix, loop1, bridge1, loop2,
+    bridge2, ...): a letter read outside a ring extends its last word.
     Inside a cycle-bearing component the walk is forced, so a traversal
-    entering at state e contributes one starred loop (the full ring word at
-    e) plus a literal ring prefix to the stop or exit point. The
+    entering at state e adds one loop (the full ring word at e) and, as its
+    bridge, the ring prefix read up to the stop or exit point. The
     enumeration is exponential in the DAG size, which is fine at the scale
     this library targets; correctness rests on the equivalence check, not
     on minimality.
@@ -296,35 +260,33 @@ def _easy_exprs(ft: Dfa, cond: Condensation) -> tuple[BoundedExpr, ...]:
     if not ft.accepting:
         return ()
     out: list[BoundedExpr] = []
-    # a stack of pending steps, each ("emit", segments) or ("explore", state,
-    # segments); a state's steps are pushed in reverse so that they run in
-    # depth-first preorder, however long the walk
-    stack: list[tuple] = [("explore", ft.initial, [])]
+    # a stack of pending steps (state, parts), where state None emits parts;
+    # a state's steps are pushed in reverse so that they run in depth-first
+    # preorder, however long the walk
+    stack: list[tuple[int | None, tuple[str, ...]]] = [(ft.initial, ("",))]
     while stack:
-        step = stack.pop()
-        if step[0] == "emit":
-            out.append(_segments_to_expr(step[1]))
+        q, parts = stack.pop()
+        if q is None:
+            out.append(BoundedExpr(parts[0], tuple(zip(parts[1::2], parts[2::2]))))
             continue
-        _, q, segments = step
-        steps: list[tuple] = []
+        steps: list[tuple[int | None, tuple[str, ...]]] = []
         comp_idx = cond.scc_of[q]
         if not cond.nontrivial[comp_idx]:
             if q in ft.accepting:
-                steps.append(("emit", segments))
+                steps.append((None, parts))
             for sym in ft.alphabet:
                 t = ft.transitions.get((q, sym))
                 if t is not None:
-                    steps.append(("explore", t, segments + [("lit", sym)]))
+                    steps.append((t, parts[:-1] + (parts[-1] + sym,)))
         else:
             ring_word, ring = _forced_ring(ft, q, cond.components[comp_idx], cond.scc_of)
-            looped = segments + [("star", ring_word)]
             for i, d in enumerate(ring):
                 if d in ft.accepting:
-                    steps.append(("emit", looped + [("lit", ring_word[:i])]))
+                    steps.append((None, parts + (ring_word, ring_word[:i])))
                 for sym in ft.alphabet:
                     t = ft.transitions.get((d, sym))
                     if t is not None and cond.scc_of[t] != comp_idx:
-                        steps.append(("explore", t, looped + [("lit", ring_word[:i] + sym)]))
+                        steps.append((t, parts + (ring_word, ring_word[:i] + sym)))
         stack.extend(reversed(steps))
     return tuple(dict.fromkeys(out))
 

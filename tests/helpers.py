@@ -55,12 +55,7 @@ from rrkit.automata import (
 )
 from rrkit.cover import _build_dispatch, plan_cover
 from rrkit.transducer import _feed
-from rrkit.classify import (
-    _easy_exprs,
-    _envelope_of,
-    _shortest_cycle,
-    _shortest_path_word,
-)
+from rrkit.classify import _easy_exprs, _envelope_of
 
 
 def words_upto(alphabet, n):
@@ -476,6 +471,50 @@ def _oracle_power_dfa(x: str, alphabet) -> Dfa:
     return Dfa(tuple(alphabet), frozenset(range(n)), 0, frozenset({0}), transitions)
 
 
+# the word searches the classifier ran before it searched the whole trimmed
+# machine, kept verbatim (the cycle search stays inside q's component) so
+# that the oracle shares no code with what it checks
+
+
+def _oracle_shortest_path_word(d: Dfa, starts, goals) -> str | None:
+    """Shortest word from a start into `goals`; "" when a start is a goal."""
+    goals = set(goals)
+    for q in sorted(starts):
+        if q in goals:
+            return ""
+    seen = set(starts)
+    queue = deque((q, "") for q in sorted(starts))
+    while queue:
+        q, word = queue.popleft()
+        for sym in d.alphabet:
+            t = d.transitions.get((q, sym))
+            if t is None or t in seen:
+                continue
+            if t in goals:
+                return word + sym
+            seen.add(t)
+            queue.append((t, word + sym))
+    return None
+
+
+def _oracle_shortest_cycle(d: Dfa, q: int, component) -> str:
+    """Shortest nonempty word looping at q without leaving its component."""
+    queue = deque([(q, "")])
+    seen = set()
+    while queue:
+        cur, word = queue.popleft()
+        for sym in d.alphabet:
+            t = d.transitions.get((cur, sym))
+            if t is None or t not in component:
+                continue
+            if t == q:
+                return word + sym
+            if t not in seen:
+                seen.add(t)
+                queue.append((t, word + sym))
+    raise CertificateError("state in a cycle-bearing component has no cycle")
+
+
 def oracle_find_witness(ft: Dfa):
     """One regular-inclusion check per cycle-bearing state of the trimmed
     machine: is every cycle at q a power of its shortest cycle's root?"""
@@ -485,15 +524,15 @@ def oracle_find_witness(ft: Dfa):
         if not cond.nontrivial[comp_idx]:
             continue
         component = cond.components[comp_idx]
-        u0 = _shortest_cycle(ft, q, component)
+        u0 = _oracle_shortest_cycle(ft, q, component)
         x = primitive_root(u0)
         v0 = oracle_inclusion_counterexample(_oracle_power_dfa(x, ft.alphabet),
                                              _oracle_cycle_nfa(ft, q, component))
         if v0 is None:
             continue
         cycle_a, cycle_b = normalize_witness(u0, v0)
-        access = _shortest_path_word(ft, {ft.initial}, {q})
-        exit_word = _shortest_path_word(ft, {q}, ft.accepting)
+        access = _oracle_shortest_path_word(ft, {ft.initial}, {q})
+        exit_word = _oracle_shortest_path_word(ft, {q}, ft.accepting)
         return HardnessWitness(q, access, cycle_a, cycle_b, exit_word)
     return None
 

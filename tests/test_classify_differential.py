@@ -19,6 +19,7 @@ from helpers import (
     enumerate_dfas,
     lang_upto,
     oracle_classification_text,
+    oracle_find_witness,
     oracle_union_nfa,
     oracle_verify_easy,
     outcome,
@@ -43,7 +44,7 @@ from rrkit import (
     universal_dfa,
     verify_easy,
 )
-from rrkit.classify import _forced_ring, _shortest_cycle
+from rrkit.classify import _forced_ring, _shortest_word
 from rrkit.cli import main
 
 # the package re-exports the function `classify` under the module's name
@@ -418,10 +419,11 @@ class TestNoLibraryAsserts:
         with pytest.raises(CertificateError):
             _forced_ring(SIGMA_STAR, 0, cond.components[0], cond.scc_of)
 
-    def test_shortest_cycle_rejects_acyclic_component(self):
+    def test_shortest_word_finds_no_cycle_at_acyclic_state(self):
         chain = parse_dfa("dfa\nalphabet a\nstates 0 1\ninitial 0\naccept 1\ntrans 0 a 1\n")
-        with pytest.raises(CertificateError, match="has no cycle"):
-            _shortest_cycle(chain, 0, frozenset({0}))
+        assert _shortest_word(chain, 0, {0}) is None
+        assert _shortest_word(chain, 1, {1}) is None
+        assert _shortest_word(chain, 0, {1}) == "a"
 
     def test_no_assert_statements_in_library(self):
         root = pathlib.Path(rrkit.__file__).parent
@@ -433,3 +435,84 @@ class TestNoLibraryAsserts:
                       or (isinstance(node, ast.Name) and node.id == "AssertionError")]
         assert not found, ("library code must not rely on assert or AssertionError: "
                            + ", ".join(found))
+
+
+def _pinned_dfa(alphabet, states, accept, trans):
+    return parse_dfa(f"dfa\nalphabet {alphabet}\nstates {states}\ninitial 0\naccept {accept}\n"
+                     + "".join(f"trans {t}\n" for t in trans.split(";")))
+
+
+# certificate texts pinned as the classifier printed them before it searched
+# the whole trimmed machine and built expressions from flat word tuples; the
+# easy ones are the only check of `_easy_exprs` that does not run it
+PINNED = [
+    ("ring-ab", lambda: _pinned_dfa("a b", "0 1", "0", "0 a 1;1 b 0"),
+     "easy\nexpr p=- blocks=(ab,-)\nenvelope ab\n"),
+    ("ring-5", lambda: _pinned_dfa("a b", "0 1 2 3 4", "0 3",
+                                   "0 a 1;1 a 2;2 b 3;3 a 4;4 b 0"),
+     "easy\nexpr p=- blocks=(aabab,-)\nexpr p=- blocks=(aabab,aab)\nenvelope aabab a b\n"),
+    ("ring-tail", lambda: _pinned_dfa("a b", "0 1 2 3", "3",
+                                      "0 a 1;1 b 2;2 b 0;1 a 3;3 b 3"),
+     "easy\nexpr p=- blocks=(abb,aa);(b,-)\nenvelope abb a b\n"),
+    ("diamond-2", lambda: diamond_filter(2),
+     "easy\nexpr p=abab blocks=\nexpr p=abba blocks=\nexpr p=baab blocks=\n"
+     "expr p=baba blocks=\nenvelope a b a b a b a b a b a b a\n"),
+    ("diamond-2-looped", lambda: diamond_filter(2, loop_at=(0, 1)),
+     "easy\nexpr p=abab blocks=\nexpr p=abba blocks=\nexpr p=b blocks=(b,aab)\n"
+     "expr p=b blocks=(b,aba)\nenvelope a b a b a b a b a b a b a\n"),
+    ("diamond-3-looped", lambda: diamond_filter(3, loop_at=(1, 0)),
+     "easy\nexpr p=aba blocks=(a,bab)\nexpr p=aba blocks=(a,bba)\nexpr p=abbaab blocks=\n"
+     "expr p=abbaba blocks=\nexpr p=baa blocks=(a,bab)\nexpr p=baa blocks=(a,bba)\n"
+     "expr p=babaab blocks=\nexpr p=bababa blocks=\n"
+     "envelope" + " a b" * 18 + " a\n"),
+    ("a*b*", lambda: _pinned_dfa("a b", "0 1", "0 1", "0 a 0;0 b 1;1 b 1"),
+     "easy\nexpr p=- blocks=(a,-)\nexpr p=- blocks=(a,b);(b,-)\nenvelope a b\n"),
+    ("two-rings", lambda: _pinned_dfa("a b c", "0 1 2 3", "2 3",
+                                      "0 a 1;1 b 0;0 c 2;2 b 3;3 a 2"),
+     "easy\nexpr p=- blocks=(ab,c);(ba,-)\nexpr p=- blocks=(ab,c);(ba,b)\n"
+     "envelope ab c ba ab c ba b\n"),
+    ("finite", lambda: _pinned_dfa("a b", "0 1 2", "2", "0 a 1;1 b 2;0 b 2"),
+     "easy\nexpr p=ab blocks=\nexpr p=b blocks=\nenvelope a b\n"),
+    ("sigma-star", lambda: SIGMA_STAR, "hard q=0 p=- u=ab v=ba s=-\n"),
+    ("ab-or-ba-star", lambda: _pinned_dfa("a b", "0 1 2", "0", "0 a 1;1 b 0;0 b 2;2 a 0"),
+     "hard q=0 p=- u=abba v=baab s=-\n"),
+    ("hard-inner-pivot", lambda: _pinned_dfa("a b c", "0 1 2 3 4", "3 4",
+                                             "0 c 1;1 a 1;1 b 2;2 a 1;2 c 3;1 c 4;4 a 4"),
+     "hard q=1 p=c u=aba v=baa s=c\n"),
+    ("planted-hard-12", lambda: planted_hard_filter(random.Random(7), 12),
+     "hard q=0 p=- u=baababa v=abababa s=a\n"),
+]
+
+
+@pytest.mark.parametrize("make, text", [(make, text) for _, make, text in PINNED],
+                         ids=[name for name, _, _ in PINNED])
+def test_pinned_certificate_text(make, text):
+    assert classification_to_text(classify(make())) == text
+
+
+def _leaves_pivot_component(ft, q):
+    scc_of = condense(ft).scc_of
+    return any(scc_of[src] == scc_of[q] != scc_of[dst]
+               for (src, _), dst in ft.transitions.items())
+
+
+def test_witness_matches_oracle_when_edges_leave_the_pivot_component():
+    """The cycle searches run on the whole trimmed machine; the oracle keeps
+    them inside the pivot's component. Hard filters whose pivot component
+    has outgoing edges must get the oracle's witness all the same."""
+    rng = random.Random(191)
+    kept = 0
+    for _ in range(4000):
+        alphabet = ("a", "b", "c")[:rng.randint(1, 3)]
+        d = random_dfa(rng, rng.randint(2, 12), alphabet,
+                       density=rng.choice((0.4, 0.6, 0.8, 1.0)),
+                       accept_prob=rng.choice((0.2, 0.5, 0.8)))
+        verdict = classify(d)
+        if not isinstance(verdict, Hard):
+            continue
+        ft = trim(d)
+        if not _leaves_pivot_component(ft, verdict.witness.state):
+            continue
+        kept += 1
+        assert verdict.witness == oracle_find_witness(ft)
+    assert kept >= 100
