@@ -40,6 +40,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import chain
 
 from .automata import (
     EPS,
@@ -225,23 +226,38 @@ def _replay_witness(ft: Dfa, w: HardnessWitness) -> None:
 # bounded decomposition
 
 
-def _forced_ring(d: Dfa, entry: int, component, scc_of) -> tuple[str, list[int]]:
+def _forced_ring(d: Dfa, entry: int, component,
+                 scc_of) -> tuple[str, list[tuple[int, str, int | None]]]:
     """The unique cycle through an easy machine's component, starting at
-    `entry`. Returns its label and the visited states in order."""
+    `entry`, read in one walk that looks at each edge of the ring once.
+    Returns its label and its stops in walk order: for the state i steps
+    from `entry`, (i, "", None) when it accepts, then (i, sym, t) for each
+    edge on sym leaving the component to t, in alphabet order."""
+    comp = scc_of[entry]
+    get = d.transitions.get
     word = []
-    ring = [entry]
+    stops: list[tuple[int, str, int | None]] = []
     q = entry
     while True:
-        succs = _inner_successors(d, q, scc_of)
-        if len(succs) != 1:
+        if q in d.accepting:
+            stops.append((len(word), "", None))
+        inner = 0
+        for sym in d.alphabet:
+            t = get((q, sym))
+            if t is not None:
+                if scc_of[t] == comp:
+                    inner += 1
+                    ring_sym, nxt = sym, t
+                else:
+                    stops.append((len(word), sym, t))
+        if inner != 1:
             raise CertificateError(
-                f"state {q} has {len(succs)} successors inside its component;"
+                f"state {q} has {inner} successors inside its component;"
                 " an easy component is a single ring")
-        sym, q = succs[0]
-        word.append(sym)
+        word.append(ring_sym)
+        q = nxt
         if q == entry:
-            return "".join(word), ring
-        ring.append(q)
+            return "".join(word), stops
 
 
 def _easy_exprs(ft: Dfa, cond: Condensation) -> tuple[BoundedExpr, ...]:
@@ -279,14 +295,9 @@ def _easy_exprs(ft: Dfa, cond: Condensation) -> tuple[BoundedExpr, ...]:
                 if t is not None:
                     steps.append((t, parts[:-1] + (parts[-1] + sym,)))
         else:
-            ring_word, ring = _forced_ring(ft, q, cond.components[comp_idx], cond.scc_of)
-            for i, d in enumerate(ring):
-                if d in ft.accepting:
-                    steps.append((None, parts + (ring_word, ring_word[:i])))
-                for sym in ft.alphabet:
-                    t = ft.transitions.get((d, sym))
-                    if t is not None and cond.scc_of[t] != comp_idx:
-                        steps.append((t, parts + (ring_word, ring_word[:i] + sym)))
+            ring_word, stops = _forced_ring(ft, q, cond.components[comp_idx], cond.scc_of)
+            for i, sym, t in stops:
+                steps.append((t, parts + (ring_word, ring_word[:i] + sym)))
         stack.extend(reversed(steps))
     return tuple(dict.fromkeys(out))
 
@@ -328,24 +339,35 @@ def _embeds(factors, words) -> bool:
 
 
 def bounded_nfa(exprs, alphabet) -> Nfa:
-    """Recognizer of a union of bounded expressions: one trie over their
+    """Recognizer of a union of bounded expressions: the trie over their
     tokens, which are the prefix letters, then per block a loop and its
-    bridge letters. A letter is an edge to a child state; a loop is an
-    epsilon edge to a fresh child state that carries a cycle reading the
-    loop word, so no state carries two loops (x1* x2* is not (x1|x2)*).
-    Expressions that share a token prefix share its states, and the state
-    where an expression's tokens end accepts."""
+    bridge letters, with equal subtries merged.
+
+    In the trie a letter is an edge to a child node; a loop is an epsilon
+    edge to a child node that carries a cycle reading the loop word, so no
+    node carries two loops (x1* x2* is not (x1|x2)*). Expressions that
+    share a token prefix share its nodes, and the node where an
+    expression's tokens end accepts. Then one pass from the last node back
+    to the root merges each node into the first equal one it has seen (the
+    acyclic-automaton minimisation of Revuz and of Daciuk et al.): two
+    nodes are equal when they agree on acceptance, on the loop token
+    entering them, if any, and on their tokens to their merged children.
+    Matching the entering loop keeps a cycle off every node a letter
+    enters: x y* z and w z share the node after z, but not the node before
+    it, so w y z stays rejected. Only the kept nodes get states, edges and
+    cycles, so expressions that share a suffix share its states; a single
+    expression has no two equal nodes and stays a chain."""
     alphabet = tuple(alphabet)
     alpha = set(alphabet)
-    triples: list[tuple[int, str | None, int]] = []
     child: dict[tuple[int, str | tuple[str]], int] = {}
     accepting: set[int] = set()
     count = 1
+    path = True  # every node so far hangs off the node made just before it
     for e in exprs:
         for word in [e.prefix, *(w for block in e.blocks for w in block)]:
-            for c in word:
-                if c not in alpha:
-                    raise AlphabetError(f"symbol {c!r} not in the alphabet")
+            if not alpha.issuperset(word):
+                bad = next(c for c in word if c not in alpha)
+                raise AlphabetError(f"symbol {bad!r} not in the alphabet")
         # a loop token is a 1-tuple, so the loop `a` and the letter `a` differ
         tokens: list[str | tuple[str]] = list(e.prefix)
         for loop, bridge in e.blocks:
@@ -357,27 +379,58 @@ def bounded_nfa(exprs, alphabet) -> Nfa:
         for token in tokens:
             nxt = child.get((cur, token))
             if nxt is None:
+                path = path and cur == count - 1
                 nxt = child[cur, token] = count
                 count += 1
-                if isinstance(token, str):
-                    triples.append((cur, token, nxt))
-                else:
-                    triples.append((cur, EPS, nxt))
-                    back = nxt
-                    for c in token[0][:-1]:
-                        triples.append((back, c, count))
-                        back = count
-                        count += 1
-                    triples.append((back, token[0][-1], nxt))
             cur = nxt
         accepting.add(cur)
-    return Nfa(alphabet, frozenset(range(count)), frozenset({0}),
-               frozenset(accepting), tuple(triples))
+    # the trie numbers a node after its parent, and `child` holds one entry
+    # per node in that order, so reading it backwards meets every node after
+    # its children; the root comes last, as the child of a slot past the
+    # nodes. out[n] is n's one edge (symbol or EPS, merged child), or a list
+    # of them when n has several
+    nodes = count
+    out: list = [None] * (nodes + 1)
+    first: dict = {}
+    triples: list[tuple[int, str | None, int]] = []
+    for (parent, token), node in chain(reversed(child.items()), [((nodes, EPS), 0)]):
+        kids = out[node]
+        if kids.__class__ is list:
+            kids = frozenset(kids)
+        loop = token if token.__class__ is tuple else None
+        # the subtries of a trie that is one path differ in size, so it
+        # keeps every node without looking
+        kept = node if path else first.setdefault((node in accepting, loop, kids), node)
+        if kept == node:
+            if kids.__class__ is tuple:
+                label, kid = kids
+                triples.append((node, label, kid))
+            elif kids is not None:
+                triples.extend([(node, label, kid) for label, kid in kids])
+            if loop is not None:
+                back = node
+                for c in loop[0][:-1]:
+                    triples.append((back, c, count))
+                    back = count
+                    count += 1
+                triples.append((back, loop[0][-1], node))
+        edge = (EPS if loop else token, kept)
+        siblings = out[parent]
+        if siblings is None:
+            out[parent] = edge
+        elif siblings.__class__ is tuple:
+            out[parent] = [siblings, edge]
+        else:
+            siblings.append(edge)
+    kept_nodes = range(nodes) if path else first.values()
+    return Nfa(alphabet, frozenset([*kept_nodes, *range(nodes, count)]), frozenset({0}),
+               frozenset(accepting.intersection(kept_nodes)), tuple(triples))
 
 
 def expr_to_nfa(e: BoundedExpr, alphabet) -> Nfa:
     """Recognizer of one bounded expression's language: `bounded_nfa` of
-    the expression alone, a chain with each loop on its own state."""
+    the expression alone, which merges nothing, so a chain with each loop
+    on its own state."""
     return bounded_nfa((e,), alphabet)
 
 
@@ -387,7 +440,9 @@ def verify_easy(f: Dfa, decomposition, envelope) -> None:
     A decomposition with an empty loop word is rejected first.
 
     Equality is decided by one `separating_word` against the decomposition's
-    `bounded_nfa`. Given it, the inclusion L(f) ⊆ w1* ... wn* follows when
+    `bounded_nfa`, whose merged subtries keep that pair search near the
+    filter's size rather than the trie's: on (ab|ba)^k it reaches one pair
+    per filter state. Given it, the inclusion L(f) ⊆ w1* ... wn* follows when
     each expression's factors (prefix letters, then per block the loop word
     and the bridge letters) embed in order into the envelope: a factor may
     go to any word w it is a positive power of, since w* then holds every

@@ -1409,3 +1409,19 @@ def count_calls(monkeypatch, names) -> dict:
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
     return counts
+
+
+def reached_pairs(monkeypatch) -> list[int]:
+    """Record how many pairs each pair search reaches while the patch
+    holds (the length of its parent links when it spells its answer);
+    returns the live list, one count per search in call order."""
+    automata = sys.modules["rrkit.automata"]
+    spell = automata._spell
+    counts: list[int] = []
+
+    def probe(parents, syms, found):
+        counts.append(len(parents))
+        return spell(parents, syms, found)
+
+    monkeypatch.setattr(automata, "_spell", probe)
+    return counts

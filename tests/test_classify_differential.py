@@ -25,6 +25,7 @@ from helpers import (
     outcome,
     planted_hard_filter,
     random_dfa,
+    reached_pairs,
     ring_filter,
 )
 from rrkit import (
@@ -39,6 +40,7 @@ from rrkit import (
     condense,
     dfa_to_text,
     parse_dfa,
+    run_nfa,
     separating_word,
     trim,
     universal_dfa,
@@ -211,6 +213,7 @@ def decompositions(draw):
 
 
 AB = ("a", "b")
+WXYZ = ("w", "x", "y", "z")
 
 
 class TestSharedPrefixRecognizer:
@@ -227,12 +230,64 @@ class TestSharedPrefixRecognizer:
         assert lang_upto(bounded_nfa((BoundedExpr("", ()),), AB), 3) == {""}
 
     def test_diamond_7_state_count(self):
-        # (ab|ba)^7: 128 expressions of 14 letters each share one trie of
-        # 1 + 2 + 4 + ... nodes, against 128 chains of 15 states and a root
+        # (ab|ba)^7: 128 expressions of 14 letters each. Their trie has
+        # 509 nodes; merging equal subtries leaves the filter's own shape,
+        # a hub and two middle states per branch and the last hub, so
+        # 3 * 7 + 1 = 22 states, against 128 chains of 15 states and a root
         verdict = classify(diamond_filter(7))
         assert isinstance(verdict, Easy) and len(verdict.decomposition) == 128
-        assert len(bounded_nfa(verdict.decomposition, AB).states) == 509
+        assert len(bounded_nfa(verdict.decomposition, AB).states) == 22
         assert len(oracle_union_nfa(verdict.decomposition, AB).states) == 1921
+
+
+def _merged(exprs, alphabet):
+    """`bounded_nfa` of the expressions, checked against the union of one
+    chain per expression by every word up to 5 letters and by one pair
+    search."""
+    merged = bounded_nfa(exprs, alphabet)
+    union = oracle_union_nfa(exprs, alphabet)
+    assert lang_upto(merged, 5) == lang_upto(union, 5)
+    assert separating_word(merged, union) is None
+    return merged
+
+
+class TestMergedSubtries:
+    def test_equal_suffixes_after_different_prefixes_merge(self):
+        # a (ab)* b and b (ab)* b: the nodes after a and after b merge, and
+        # with them the loop, its cycle and the accepting leaf
+        merged = _merged((BoundedExpr("a", (("ab", "b"),)),
+                          BoundedExpr("b", (("ab", "b"),))), AB)
+        assert len(merged.states) == 5
+
+    def test_loop_entered_node_never_merges_with_a_letter_entered_one(self):
+        # x y* z and w z: the leaves after z merge, but the y-loop's node
+        # and the node after w, each with one z-edge to that leaf, do not,
+        # so no cycle reaches the w branch
+        merged = _merged((BoundedExpr("x", (("y", "z"),)), BoundedExpr("wz", ())), WXYZ)
+        assert len(merged.states) == 5
+        assert run_nfa(merged, "wz") and run_nfa(merged, "xyyz")
+        assert not run_nfa(merged, "wyz")
+
+    @pytest.mark.parametrize("prefixes, states", [(("a", "b"), 8), (("", ""), 4)],
+                             ids=["different-prefixes", "shared-prefix"])
+    def test_equal_loops_with_different_bridges_stay_apart(self, prefixes, states):
+        # p (ab)* a and q (ab)* b: only the accepting leaves merge; with
+        # p = q = "" the trie already shares the loop
+        first, second = prefixes
+        merged = _merged((BoundedExpr(first, (("ab", "a"),)),
+                          BoundedExpr(second, (("ab", "b"),))), AB)
+        assert len(merged.states) == states
+
+    @pytest.mark.parametrize("k, loop_at", [(7, None), (10, None), (7, (3, 1))],
+                             ids=["diamond-7", "diamond-10", "diamond-7-looped"])
+    def test_verify_search_reaches_one_pair_per_filter_state(self, k, loop_at, monkeypatch):
+        # the pair search of the trie without merging reached one pair per
+        # trie node: 509 on diamond-7
+        f = trim(diamond_filter(k, loop_at))
+        verdict = classify(f)
+        pairs = reached_pairs(monkeypatch)
+        verify_easy(f, verdict.decomposition, verdict.envelope)
+        assert len(pairs) == 1 and pairs[0] <= len(f.states) + 1
 
 
 def _tampered(exprs, words):
