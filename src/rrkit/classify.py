@@ -395,12 +395,14 @@ def bounded_nfa(exprs, alphabet) -> Nfa:
     triples: list[tuple[int, str | None, int]] = []
     for (parent, token), node in chain(reversed(child.items()), [((nodes, EPS), 0)]):
         kids = out[node]
-        if kids.__class__ is list:
-            kids = frozenset(kids)
         loop = token if token.__class__ is tuple else None
         # the subtries of a trie that is one path differ in size, so it
         # keeps every node without looking
-        kept = node if path else first.setdefault((node in accepting, loop, kids), node)
+        if path:
+            kept = node
+        else:
+            edges = frozenset(kids) if kids.__class__ is list else kids
+            kept = first.setdefault((node in accepting, loop, edges), node)
         if kept == node:
             if kids.__class__ is tuple:
                 label, kid = kids
