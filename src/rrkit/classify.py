@@ -226,7 +226,7 @@ def _replay_witness(ft: Dfa, w: HardnessWitness) -> None:
 # bounded decomposition
 
 
-def _forced_ring(d: Dfa, entry: int, component,
+def _forced_ring(d: Dfa, entry: int,
                  scc_of) -> tuple[str, list[tuple[int, str, int | None]]]:
     """The unique cycle through an easy machine's component, starting at
     `entry`, read in one walk that looks at each edge of the ring once.
@@ -295,7 +295,7 @@ def _easy_exprs(ft: Dfa, cond: Condensation) -> tuple[BoundedExpr, ...]:
                 if t is not None:
                     steps.append((t, parts[:-1] + (parts[-1] + sym,)))
         else:
-            ring_word, stops = _forced_ring(ft, q, cond.components[comp_idx], cond.scc_of)
+            ring_word, stops = _forced_ring(ft, q, cond.scc_of)
             for i, sym, t in stops:
                 steps.append((t, parts + (ring_word, ring_word[:i] + sym)))
         stack.extend(reversed(steps))
@@ -362,7 +362,6 @@ def bounded_nfa(exprs, alphabet) -> Nfa:
     child: dict[tuple[int, str | tuple[str]], int] = {}
     accepting: set[int] = set()
     count = 1
-    path = True  # every node so far hangs off the node made just before it
     for e in exprs:
         for word in [e.prefix, *(w for block in e.blocks for w in block)]:
             if not alpha.issuperset(word):
@@ -379,7 +378,6 @@ def bounded_nfa(exprs, alphabet) -> Nfa:
         for token in tokens:
             nxt = child.get((cur, token))
             if nxt is None:
-                path = path and cur == count - 1
                 nxt = child[cur, token] = count
                 count += 1
             cur = nxt
@@ -396,13 +394,8 @@ def bounded_nfa(exprs, alphabet) -> Nfa:
     for (parent, token), node in chain(reversed(child.items()), [((nodes, EPS), 0)]):
         kids = out[node]
         loop = token if token.__class__ is tuple else None
-        # the subtries of a trie that is one path differ in size, so it
-        # keeps every node without looking
-        if path:
-            kept = node
-        else:
-            edges = frozenset(kids) if kids.__class__ is list else kids
-            kept = first.setdefault((node in accepting, loop, edges), node)
+        edges = frozenset(kids) if kids.__class__ is list else kids
+        kept = first.setdefault((node in accepting, loop, edges), node)
         if kept == node:
             if kids.__class__ is tuple:
                 label, kid = kids
@@ -424,7 +417,7 @@ def bounded_nfa(exprs, alphabet) -> Nfa:
             out[parent] = [siblings, edge]
         else:
             siblings.append(edge)
-    kept_nodes = range(nodes) if path else first.values()
+    kept_nodes = first.values()
     return Nfa(alphabet, frozenset([*kept_nodes, *range(nodes, count)]), frozenset({0}),
                frozenset(accepting.intersection(kept_nodes)), tuple(triples))
 

@@ -472,7 +472,7 @@ class TestNoLibraryAsserts:
     def test_forced_ring_rejects_branching_component(self):
         cond = condense(SIGMA_STAR)
         with pytest.raises(CertificateError):
-            _forced_ring(SIGMA_STAR, 0, cond.components[0], cond.scc_of)
+            _forced_ring(SIGMA_STAR, 0, cond.scc_of)
 
     def test_shortest_word_finds_no_cycle_at_acyclic_state(self):
         chain = parse_dfa("dfa\nalphabet a\nstates 0 1\ninitial 0\naccept 1\ntrans 0 a 1\n")
