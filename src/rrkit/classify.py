@@ -49,6 +49,7 @@ from .automata import (
     Dfa,
     FormatError,
     Nfa,
+    _check_symbol,
     _is_number,
     _logical_lines,
     condense,
@@ -522,6 +523,15 @@ def _field(tok: str, key: str, no: int) -> str:
     return tok[len(key) + 1:]
 
 
+def _word(tok: str, no: int) -> str:
+    """The word a token spells, `-` for the empty word; each of its letters
+    must be a symbol of the machine formats (`_check_symbol`)."""
+    word = word_from_text(tok)
+    for c in word:
+        _check_symbol(c, no)
+    return word
+
+
 def classification_from_text(text: str) -> Classification:
     lines = _logical_lines(text)
     no, toks = next(lines, (None, None))
@@ -536,10 +546,10 @@ def classification_from_text(text: str) -> Classification:
             raise FormatError(f"bad state id {state!r}", no)
         return Hard(HardnessWitness(
             int(state),
-            word_from_text(_field(toks[2], "p", no)),
-            word_from_text(_field(toks[3], "u", no)),
-            word_from_text(_field(toks[4], "v", no)),
-            word_from_text(_field(toks[5], "s", no)),
+            _word(_field(toks[2], "p", no), no),
+            _word(_field(toks[3], "u", no), no),
+            _word(_field(toks[4], "v", no), no),
+            _word(_field(toks[5], "s", no), no),
         ))
     if kind != "easy":
         raise FormatError(f"unknown certificate kind `{toks[0]}`", no)
@@ -553,7 +563,7 @@ def classification_from_text(text: str) -> Classification:
                 raise FormatError("expr line after envelope line", no)
             if len(toks) != 3:
                 raise FormatError("want `expr p=<word> blocks=...`", no)
-            prefix = word_from_text(_field(toks[1], "p", no))
+            prefix = _word(_field(toks[1], "p", no), no)
             blocks_text = _field(toks[2], "blocks", no)
             blocks: list[tuple[str, str]] = []
             if blocks_text:
@@ -562,11 +572,13 @@ def classification_from_text(text: str) -> Classification:
                             and piece.count(",") == 1):
                         raise FormatError(f"bad block `{piece}`", no)
                     x, y = piece[1:-1].split(",")
-                    blocks.append((word_from_text(x), word_from_text(y)))
+                    blocks.append((_word(x, no), _word(y, no)))
             exprs.append(BoundedExpr(prefix, tuple(blocks)))
         elif toks[0] == "envelope":
             if envelope_words is not None:
                 raise FormatError("duplicate envelope line", no)
+            for c in "".join(toks[1:]):
+                _check_symbol(c, no)
             envelope_words = tuple(toks[1:])
         else:
             raise FormatError(f"unexpected `{toks[0]}` in certificate", no)

@@ -10,8 +10,13 @@ prefix-incomparable cycles u and v the three codes are
 
     zero word  u v      one word  v u      stop word  u u s
 
-which are pairwise prefix-incomparable, so the dispatch trie is
-deterministic. `cover` runs the trie in step with a DFA r of the target
+which are pairwise prefix-incomparable. The dispatch trie is one prefix
+tree over int states: from the hub, each code of `bits_per_letter` bits,
+spelled in zero and one words, returns to the hub writing its letter, and
+the stop word leads to the accepting state; a nonempty access word leads
+from the start state to the hub. As the three words form a prefix code,
+so do the spelled codes and the stop word, and the tree is deterministic.
+`cover` runs the trie in step with a DFA r of the target
 language (`rrkit.transducer._restrict`): an edge that writes a letter
 exists only where r reads it, and a state accepts only where the trie and
 r both accept. That restricts the image to exactly L(r). The surjection
@@ -78,67 +83,41 @@ def plan_cover(witness: HardnessWitness, letters) -> CoverPlan:
     return CoverPlan(witness, u + v, v + u, u + u + s, letters, bits, codes)
 
 
-def _decode(plan: CoverPlan, bits: str) -> str:
-    i = int(bits, 2)
-    return plan.letters[i] if i < len(plan.letters) else plan.letters[-1]
+def _spell(plan: CoverPlan, bits: str) -> str:
+    """A bit string spelled in the plan's zero and one words."""
+    return "".join(plan.one_word if bit == "1" else plan.zero_word for bit in bits)
 
 
-def _build_dispatch(plan: CoverPlan, access: str, in_alphabet) -> Dfst:
-    """The dispatch trie as a transducer; its states are numbered in the
-    order they are first seen."""
-    ids: dict[tuple, int] = {}
+def _build_dispatch(plan: CoverPlan, in_alphabet) -> Dfst:
+    """The dispatch trie as a transducer: one prefix tree of its words over
+    int states, the hub 0 and the accepting state 1. From the hub each of
+    the 2**bits_per_letter codes is spelled (`_spell`) and returns to the
+    hub writing its letter, or the last letter for a code past the last,
+    on its final edge; the stop word leads to 1. A nonempty access word
+    leads from a fresh start state to the hub. A word that runs into
+    another's final edge, or ends on an edge that leads elsewhere, raises
+    `CertificateError`."""
+    width, last = plan.bits_per_letter, len(plan.letters) - 1
+    words = [(0, _spell(plan, format(i, f"0{width}b")), plan.letters[min(i, last)], 0)
+             for i in range(2 ** width)]
+    words.append((0, plan.stop_word, "", 1))
+    start = 2 if plan.witness.access else 0
+    if start:
+        words.append((start, plan.witness.access, "", 0))
+    size = 3 if start else 2  # the next fresh state
     transitions: dict[tuple[int, str], tuple[str, int]] = {}
-
-    def node(key: tuple) -> int:
-        return ids.setdefault(key, len(ids))
-
-    def add(src, sym, out, dst):
-        edge = (node(src), sym)
-        prior = transitions.get(edge)
-        if prior is not None:
-            if prior != (out, node(dst)):
-                raise CertificateError(f"dispatch trie collision at {src!r} on {sym!r}")
-            return
-        transitions[edge] = (out, node(dst))
-
-    def hub(bits: str) -> tuple:
-        return ("hub", bits)
-
-    accept = ("accept",)
-    if access:
-        start = ("access", 0)
-        for i, c in enumerate(access):
-            dst = ("access", i + 1) if i + 1 < len(access) else hub("")
-            add(("access", i), c, "", dst)
-    else:
-        start = hub("")
-
-    pending = [""]
-    seen_bits = {""}
-    while pending:
-        bits = pending.pop()
-        branches: list[tuple[str, str, tuple]] = []
-        for word, bit in ((plan.zero_word, "0"), (plan.one_word, "1")):
-            grown = bits + bit
-            if len(grown) == plan.bits_per_letter:
-                branches.append((word, _decode(plan, grown), hub("")))
-            else:
-                branches.append((word, "", hub(grown)))
-                if grown not in seen_bits:
-                    seen_bits.add(grown)
-                    pending.append(grown)
-        if bits == "":
-            branches.append((plan.stop_word, "", accept))
-        for word, out, target in branches:
-            src = hub(bits)
-            for k, c in enumerate(word[:-1]):
-                mid = ("trie", bits, word[:k + 1])
-                add(src, c, "", mid)
-                src = mid
-            add(src, word[-1], out, target)
-
-    return Dfst(tuple(in_alphabet), plan.letters, frozenset(ids.values()), ids[start],
-                frozenset({ids[accept]}), transitions, {})
+    for q, word, out, dst in words:
+        for c in word[:-1]:
+            edge = transitions.setdefault((q, c), ("", size))
+            if edge[1] < 2:  # only a final edge leads to the hub or to 1
+                raise CertificateError(f"dispatch trie collision at {q} on {c!r}")
+            if edge[1] == size:
+                size += 1
+            q = edge[1]
+        if transitions.setdefault((q, word[-1]), (out, dst)) != (out, dst):
+            raise CertificateError(f"dispatch trie collision at {q} on {word[-1]!r}")
+    return Dfst(tuple(in_alphabet), plan.letters, frozenset(range(size)), start,
+                frozenset({1}), transitions, {})
 
 
 def _image_within(t: Dfst, f: Dfa, r: Dfa) -> bool:
@@ -178,14 +157,14 @@ def _image_within(t: Dfst, f: Dfa, r: Dfa) -> bool:
 
 def _inverse_reaches(t: Dfst, f: Dfa, r: Dfa, plan: CoverPlan) -> bool:
     """(b) L(r) ⊆ image(t over f), by the right inverse
-    e(w) = access · code(w) · stop word. Walks the reachable (r, t, f)
+    e(w) = access · code(w) · stop word, each letter's code spelled by
+    `_spell` as the trie spells it. Walks the reachable (r, t, f)
     states from the access word: on every r letter c, f must be defined on
     code(c) and t must emit exactly c; at every accepting r state the stop
     word must take f to acceptance and t to an accepting state with empty
     output. r's letters must be among the plan's. Sufficient, not
     necessary: False means only "not proved"."""
-    codes = {letter: "".join(plan.one_word if bit == "1" else plan.zero_word for bit in bits)
-             for letter, bits in plan.letter_codes}
+    codes = {letter: _spell(plan, bits) for letter, bits in plan.letter_codes}
     access = plan.witness.access
     fed = _feed(t, t.initial, access)
     qf = f.walk(f.initial, access)
@@ -224,7 +203,7 @@ def _dispatch_onto(f: Dfa, witness: HardnessWitness, letters, r: Dfa) -> tuple[D
     the two right-inverse walks prove them equal, else what `cover_gap`
     finds."""
     plan = plan_cover(witness, letters)
-    t = _restrict(_build_dispatch(plan, witness.access, f.alphabet), r)
+    t = _restrict(_build_dispatch(plan, f.alphabet), r)
     if _image_within(t, f, r) and _inverse_reaches(t, f, r, plan):
         return t, None
     gap = cover_gap(t, f, r)

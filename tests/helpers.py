@@ -14,6 +14,7 @@ from rrkit import (
     CertificateError,
     ClassificationMismatch,
     Condensation,
+    CoverPlan,
     Dfa,
     Dfst,
     Easy,
@@ -53,7 +54,7 @@ from rrkit.automata import (
     word_from_text,
     word_to_text,
 )
-from rrkit.cover import _build_dispatch, plan_cover
+from rrkit.cover import plan_cover
 from rrkit.transducer import _feed
 from rrkit.classify import _easy_exprs, _envelope_of
 
@@ -924,12 +925,76 @@ def oracle_image_within(t: Dfst, f: Dfa, r: Dfa) -> bool:
     return True
 
 
+def _oracle_decode(plan: CoverPlan, bits: str) -> str:
+    i = int(bits, 2)
+    return plan.letters[i] if i < len(plan.letters) else plan.letters[-1]
+
+
+def oracle_build_dispatch(plan: CoverPlan, access: str, in_alphabet) -> Dfst:
+    """The dispatch trie as `rrkit.cover` first built it: a stack search
+    over the hubs' bit strings, each node named by a tuple; its states are
+    numbered in the order they are first seen."""
+    ids: dict[tuple, int] = {}
+    transitions: dict[tuple[int, str], tuple[str, int]] = {}
+
+    def node(key: tuple) -> int:
+        return ids.setdefault(key, len(ids))
+
+    def add(src, sym, out, dst):
+        edge = (node(src), sym)
+        prior = transitions.get(edge)
+        if prior is not None:
+            if prior != (out, node(dst)):
+                raise CertificateError(f"dispatch trie collision at {src!r} on {sym!r}")
+            return
+        transitions[edge] = (out, node(dst))
+
+    def hub(bits: str) -> tuple:
+        return ("hub", bits)
+
+    accept = ("accept",)
+    if access:
+        start = ("access", 0)
+        for i, c in enumerate(access):
+            dst = ("access", i + 1) if i + 1 < len(access) else hub("")
+            add(("access", i), c, "", dst)
+    else:
+        start = hub("")
+
+    pending = [""]
+    seen_bits = {""}
+    while pending:
+        bits = pending.pop()
+        branches: list[tuple[str, str, tuple]] = []
+        for word, bit in ((plan.zero_word, "0"), (plan.one_word, "1")):
+            grown = bits + bit
+            if len(grown) == plan.bits_per_letter:
+                branches.append((word, _oracle_decode(plan, grown), hub("")))
+            else:
+                branches.append((word, "", hub(grown)))
+                if grown not in seen_bits:
+                    seen_bits.add(grown)
+                    pending.append(grown)
+        if bits == "":
+            branches.append((plan.stop_word, "", accept))
+        for word, out, target in branches:
+            src = hub(bits)
+            for k, c in enumerate(word[:-1]):
+                mid = ("trie", bits, word[:k + 1])
+                add(src, c, "", mid)
+                src = mid
+            add(src, word[-1], out, target)
+
+    return Dfst(tuple(in_alphabet), plan.letters, frozenset(ids.values()), ids[start],
+                frozenset({ids[accept]}), transitions, {})
+
+
 def oracle_surjection_to_star(f: Dfa, witness: HardnessWitness, letters) -> Dfst:
     """Surjection onto Γ* whose image is checked by `separating_word`
     against the full language."""
     verify_witness(f, witness)
     plan = plan_cover(witness, letters)
-    t = _build_dispatch(plan, witness.access, f.alphabet)
+    t = oracle_build_dispatch(plan, witness.access, f.alphabet)
     gap = separating_word(oracle_image_nfa(t, f), universal_dfa(plan.letters))
     if gap is not None:
         raise CertificateError(

@@ -208,8 +208,7 @@ MUTANTS = {
 def test_mutant_composition_refused_like_the_oracle(name, monkeypatch):
     mutate, f, target, within, reaches, gap = MUTANTS[name]
     plan = plan_cover(classify(f).witness, target.alphabet)
-    mutant = mutate(compose_dfst(cover_module._build_dispatch(plan, plan.witness.access,
-                                                              f.alphabet),
+    mutant = mutate(compose_dfst(cover_module._build_dispatch(plan, f.alphabet),
                                  identity_transducer(target)), plan)
     assert cover_module._image_within(mutant, f, target) is within
     assert cover_module._inverse_reaches(mutant, f, target, plan) is reaches
@@ -234,7 +233,7 @@ def test_walk_does_not_trust_the_witness(monkeypatch):
                           good.exit_word + "b")
     monkeypatch.setattr(cover_module, "classify", lambda d: Hard(bad))
     plan = plan_cover(bad, AB_STAR.alphabet)
-    t = compose_dfst(cover_module._build_dispatch(plan, bad.access, f.alphabet),
+    t = compose_dfst(cover_module._build_dispatch(plan, f.alphabet),
                      identity_transducer(AB_STAR))
     assert cover_module._image_within(t, f, AB_STAR)
     assert not cover_module._inverse_reaches(t, f, AB_STAR, plan)

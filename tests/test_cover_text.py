@@ -250,7 +250,7 @@ def test_walk_matches_oracle():
 def test_walk_matches_oracle_on_mutants(name):
     mutate, f, target, within, _, _ = MUTANTS[name]
     plan = plan_cover(classify(f).witness, target.alphabet)
-    trie = cover_module._build_dispatch(plan, plan.witness.access, f.alphabet)
+    trie = cover_module._build_dispatch(plan, f.alphabet)
     for t in (compose_dfst(trie, identity_transducer(target)),
               cover_module._restrict(trie, target)):
         mutant = mutate(t, plan)
