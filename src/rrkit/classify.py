@@ -323,94 +323,169 @@ def _envelope_of(exprs) -> tuple[str, ...]:
     return tuple(words)
 
 
-def _embeds(factors, words) -> bool:
-    """Can each factor, in order, go to an envelope word at or after the
-    previous one's of which it is a positive power? Greedy earliest choice
-    finds such a placement whenever one exists."""
-    i = 0
-    for factor in factors:
-        while i < len(words):
-            k, rest = divmod(len(factor), len(words[i]))
-            if not rest and words[i] * k == factor:
-                break
-            i += 1
-        else:
-            return False
-    return True
+def _check_letters(word: str, alpha: set[str]) -> None:
+    """Raise AlphabetError naming the first letter of `word` outside `alpha`."""
+    if not alpha.issuperset(word):
+        bad = next(c for c in word if c not in alpha)
+        raise AlphabetError(f"symbol {bad!r} not in the alphabet")
 
 
 def bounded_nfa(exprs, alphabet) -> Nfa:
     """Recognizer of a union of bounded expressions: the trie over their
-    tokens, which are the prefix letters, then per block a loop and its
-    bridge letters, with equal subtries merged.
+    tokens, with equal subtries merged.
 
-    In the trie a letter is an edge to a child node; a loop is an epsilon
-    edge to a child node that carries a cycle reading the loop word, so no
-    node carries two loops (x1* x2* is not (x1|x2)*). Expressions that
-    share a token prefix share its nodes, and the node where an
-    expression's tokens end accepts. Then one pass from the last node back
-    to the root merges each node into the first equal one it has seen (the
-    acyclic-automaton minimisation of Revuz and of Daciuk et al.): two
-    nodes are equal when they agree on acceptance, on the loop token
-    entering them, if any, and on their tokens to their merged children.
-    Matching the entering loop keeps a cycle off every node a letter
-    enters: x y* z and w z share the node after z, but not the node before
-    it, so w y z stays rejected. Only the kept nodes get states, edges and
-    cycles, so expressions that share a suffix share its states; a single
-    expression has no two equal nodes and stays a chain."""
+    An expression's tokens are its prefix letters, then per block (x, y) a
+    loop x and y's letters. A letter is an edge to a child node. A loop is
+    an epsilon edge to a loop node that carries a cycle of |x| states
+    reading x, so no state carries two cycles (x1* x2* is not (x1|x2)*).
+    y is read along that cycle for as long as the two words agree, at most
+    |x| - 1 letters, and goes on, or ends accepting, at the cycle state
+    where it stops. A node that does not accept and whose only edge is the
+    epsilon edge into a loop node is that loop node. Expressions that share
+    a token prefix share its nodes, and the node where an expression's
+    tokens end accepts.
+
+    Then one pass from the last node back to the root merges each node into
+    the first equal one it has seen (the acyclic-automaton minimisation of
+    Revuz and of Daciuk et al.): two letter-entered nodes are equal when
+    they agree on acceptance and on their edges to merged children, and two
+    loop nodes when they agree on the loop word and, at each cycle position
+    where a bridge stops, on acceptance and edges. So a cycle state is
+    never shared by two cycles, and a letter-entered node never gains one:
+    x y* z and w z share the node after z, but not the node before it, so
+    w y z stays rejected. Only the kept nodes get states, so expressions
+    that share a suffix share its states.
+
+    Every decomposition `classify` reads off a DFA has an epsilon-free
+    deterministic recognizer: each bridge is a prefix of its loop, read
+    along the cycle, then an exit letter that leaves it, or it ends there."""
     alphabet = tuple(alphabet)
+    root, final, triples, size, _ = _trie(exprs, alphabet, ())
+    return Nfa(alphabet, frozenset(range(size)), frozenset({root}), final, tuple(triples))
+
+
+def _recognizer(exprs, alphabet, envelope) -> tuple[Dfa | Nfa, bool]:
+    """`bounded_nfa` of the expressions, as a Dfa when it has no epsilon
+    edge and at most one edge per state and symbol, and whether their
+    factors embed into the envelope (`_trie`)."""
+    alphabet = tuple(alphabet)
+    root, final, triples, size, embedded = _trie(exprs, alphabet, envelope)
+    transitions = {(q, sym): t for q, sym, t in triples if sym is not EPS}
+    if len(transitions) == len(triples):
+        return Dfa(alphabet, frozenset(range(size)), root, final, transitions), embedded
+    return Nfa(alphabet, frozenset(range(size)), frozenset({root}), final,
+               tuple(triples)), embedded
+
+
+def _trie(exprs, alphabet, envelope) -> tuple[int, frozenset[int], list, int, bool]:
+    """`bounded_nfa`'s merged trie as (root state, accepting states,
+    transition triples, state count), its states numbered 0, 1, ... as
+    they are kept, and whether each expression's factors (`_factors`)
+    embed in order into the envelope words: each goes to a word at or
+    after the previous factor's of which it is a positive power. Greedy
+    earliest choice finds such a placement whenever one exists, and the
+    walk that inserts the tokens records at each new trie node the
+    envelope position after its factors, so expressions that share a
+    token prefix embed it once."""
     alpha = set(alphabet)
-    child: dict[tuple[int, str | tuple[str]], int] = {}
+    # an empty envelope word is refused before the embedding is read
+    words = tuple(envelope) if all(envelope) else ()
+    child: dict[tuple[int, str | int | tuple[str]], int] = {}
     accepting: set[int] = set()
-    count = 1
+    at: list[int | None] = [0]  # envelope position after each node's factors, None if none
+    embedded = True
     for e in exprs:
         for word in [e.prefix, *(w for block in e.blocks for w in block)]:
-            if not alpha.issuperset(word):
-                bad = next(c for c in word if c not in alpha)
-                raise AlphabetError(f"symbol {bad!r} not in the alphabet")
-        # a loop token is a 1-tuple, so the loop `a` and the letter `a` differ
-        tokens: list[str | tuple[str]] = list(e.prefix)
+            _check_letters(word, alpha)
+        # a loop token is a 1-tuple and a step along its cycle the int
+        # position it reaches, so neither is mistaken for a letter; the
+        # tokens line up with `_factors(e)`, a step with the letter it reads
+        tokens: list[str | int | tuple[str]] = list(e.prefix)
         for loop, bridge in e.blocks:
             if not loop:
                 raise ValueError("loop word of a bounded expression must be nonempty")
-            tokens.append((loop,))
-            tokens.extend(bridge)
+            k, stop = 0, min(len(loop) - 1, len(bridge))
+            while k < stop and bridge[k] == loop[k]:
+                k += 1
+            tokens += [(loop,), *range(1, k + 1), *bridge[k:]]
         cur = 0
-        for token in tokens:
+        for token, factor in zip(tokens, _factors(e)):
             nxt = child.get((cur, token))
             if nxt is None:
-                nxt = child[cur, token] = count
-                count += 1
+                nxt = child[cur, token] = len(at)
+                i = at[cur]
+                if i is not None:
+                    while i < len(words):
+                        if words[i] * (len(factor) // len(words[i])) == factor:
+                            break
+                        i += 1
+                    else:
+                        i = None
+                at.append(i)
             cur = nxt
         accepting.add(cur)
+        embedded = embedded and at[cur] is not None
     # the trie numbers a node after its parent, and `child` holds one entry
     # per node in that order, so reading it backwards meets every node after
     # its children; the root comes last, as the child of a slot past the
-    # nodes. out[n] is n's one edge (symbol or EPS, merged child), or a list
-    # of them when n has several
-    nodes = count
+    # nodes. out[n] is n's one edge (symbol or EPS, state), or a list of
+    # them when n has several. along[n] links, for a loop node or a step
+    # node n, the later positions on n's cycle where a bridge stops or goes
+    # on: (position, accepts, its edges as a frozenset key, its out entry,
+    # the next link)
+    nodes = len(at)
     out: list = [None] * (nodes + 1)
+    along: list = [None] * (nodes + 1)
     first: dict = {}
     triples: list[tuple[int, str | None, int]] = []
+    final: list[int] = []
+    count = 0
+
+    def write(source, kids):
+        if kids.__class__ is tuple:
+            triples.append((source, *kids))
+        elif kids is not None:
+            triples.extend([(source, label, state) for label, state in kids])
+
     for (parent, token), node in chain(reversed(child.items()), [((nodes, EPS), 0)]):
         kids = out[node]
-        loop = token if token.__class__ is tuple else None
         edges = frozenset(kids) if kids.__class__ is list else kids
-        kept = first.setdefault((node in accepting, loop, edges), node)
-        if kept == node:
-            if kids.__class__ is tuple:
-                label, kid = kids
-                triples.append((node, label, kid))
-            elif kids is not None:
-                triples.extend([(node, label, kid) for label, kid in kids])
-            if loop is not None:
-                back = node
-                for c in loop[0][:-1]:
-                    triples.append((back, c, count))
-                    back = count
+        accepts = node in accepting
+        if token.__class__ is int:
+            along[parent] = (along[node] if kids is None and not accepts
+                             else (token, accepts, edges, kids, along[node]))
+            continue
+        if token.__class__ is tuple:
+            stops = [(0, accepts, edges, kids)]
+            step = along[node]
+            while step is not None:
+                stops.append(step[:4])
+                step = step[4]
+            key = (token, *((j, a, es) for j, a, es, _ in stops))
+            state = first.get(key)
+            if state is None:
+                state = first[key] = count
+                loop = token[0]
+                count += len(loop)
+                triples += [(state + i, c, state + i + 1) for i, c in enumerate(loop[:-1])]
+                triples.append((count - 1, loop[-1], state))
+                for j, a, _, ks in stops:
+                    if a:
+                        final.append(state + j)
+                    write(state + j, ks)
+            edge = (EPS, state)
+        else:
+            if not accepts and kids.__class__ is tuple and kids[0] is EPS:
+                state = kids[1]
+            else:
+                state = first.get((accepts, edges))
+                if state is None:
+                    state = first[accepts, edges] = count
                     count += 1
-                triples.append((back, loop[0][-1], node))
-        edge = (EPS if loop else token, kept)
+                    if accepts:
+                        final.append(state)
+                    write(state, kids)
+            edge = (token, state)
         siblings = out[parent]
         if siblings is None:
             out[parent] = edge
@@ -418,15 +493,16 @@ def bounded_nfa(exprs, alphabet) -> Nfa:
             out[parent] = [siblings, edge]
         else:
             siblings.append(edge)
-    kept_nodes = first.values()
-    return Nfa(alphabet, frozenset([*kept_nodes, *range(nodes, count)]), frozenset({0}),
-               frozenset(accepting.intersection(kept_nodes)), tuple(triples))
+    # `state` is now the root's
+    return state, frozenset(final), triples, count, embedded
 
 
 def expr_to_nfa(e: BoundedExpr, alphabet) -> Nfa:
     """Recognizer of one bounded expression's language: `bounded_nfa` of
-    the expression alone, which merges nothing, so a chain with each loop
-    on its own state."""
+    the expression alone, which merges nothing, so one cycle per block,
+    with the bridge read along it as far as it agrees, entered from the
+    letter before it or, after a bridge that stops on the previous cycle,
+    by an epsilon edge."""
     return bounded_nfa((e,), alphabet)
 
 
@@ -438,23 +514,27 @@ def verify_easy(f: Dfa, decomposition, envelope) -> None:
     Equality is decided by one `separating_word` against the decomposition's
     `bounded_nfa`, whose merged subtries keep that pair search near the
     filter's size rather than the trie's: on (ab|ba)^k it reaches one pair
-    per filter state. Given it, the inclusion L(f) ⊆ w1* ... wn* follows when
-    each expression's factors (prefix letters, then per block the loop word
-    and the bridge letters) embed in order into the envelope: a factor may
-    go to any word w it is a positive power of, since w* then holds every
-    power of the factor, and the envelope index never moves backwards.
-    Envelopes built by `classify` always embed. Only when some expression
-    does not is the inclusion decided exactly, by a pair search over the
-    filter and the star product's recognizer (`expr_to_nfa` of the envelope
-    words as loops with empty bridges); the shortest filter word it misses
-    is then reported.
+    per filter state. Every decomposition `classify` builds has a
+    deterministic recognizer, which the search walks as a Dfa, with no
+    epsilon-closed subsets; any other is walked as an Nfa. Given equality,
+    the inclusion L(f) ⊆ w1* ... wn* follows when each expression's factors
+    (prefix letters, then per block the loop word and the bridge letters)
+    embed in order into the envelope: a factor may go to any word w it is
+    a positive power of, since w* then holds every power of the factor, and
+    the envelope index never moves backwards. The walk that builds the
+    recognizer's trie places the factors too. Envelopes built by `classify`
+    always embed. Only when some expression does not is the inclusion
+    decided exactly, by a pair search over the filter and the star
+    product's recognizer (`expr_to_nfa` of the envelope words as loops with
+    empty bridges); the shortest filter word it misses is then reported.
     """
     for e in decomposition:
         for loop, _ in e.blocks:
             if not loop:
                 raise CertificateError("decomposition contains an empty loop word")
     alphabet = f.alphabet
-    gap = separating_word(bounded_nfa(decomposition, alphabet), f)
+    recognizer, embedded = _recognizer(decomposition, alphabet, envelope)
+    gap = separating_word(recognizer, f)
     if gap is not None:
         raise CertificateError(
             f"decomposition differs from the filter on {word_to_text(gap)!r}")
@@ -462,11 +542,8 @@ def verify_easy(f: Dfa, decomposition, envelope) -> None:
     for word in envelope:
         if not word:
             raise CertificateError("envelope contains the empty word")
-        for c in word:
-            if c not in alpha:
-                # the Nfa constructor's error for a foreign transition symbol
-                raise ValueError(f"transition symbol {c!r} not in alphabet")
-    if not all(_embeds(_factors(e), envelope) for e in decomposition):
+        _check_letters(word, alpha)
+    if not embedded:
         star_product = BoundedExpr("", tuple((w, "") for w in envelope))
         leak = inclusion_counterexample(expr_to_nfa(star_product, alphabet), f)
         if leak is not None:

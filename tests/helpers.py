@@ -6,6 +6,7 @@ import itertools
 import random
 import sys
 from collections import deque
+from itertools import chain
 
 from rrkit import (
     EPS,
@@ -633,6 +634,94 @@ def oracle_union_nfa(decomposition, alphabet) -> Nfa:
     return nfa_union([oracle_expr_to_nfa(e, alphabet) for e in decomposition], alphabet)
 
 
+# `bounded_nfa` as it was before bridges were read along their loop's cycle:
+# each loop node hangs off its parent by an epsilon edge and each bridge is a
+# letter chain of its own, so the recognizer of a DFA's decomposition is an
+# Nfa; kept verbatim as the reference for the deterministic construction
+def oracle_bounded_nfa(exprs, alphabet) -> Nfa:
+    """Recognizer of a union of bounded expressions: the trie over their
+    tokens, which are the prefix letters, then per block a loop and its
+    bridge letters, with equal subtries merged.
+
+    In the trie a letter is an edge to a child node; a loop is an epsilon
+    edge to a child node that carries a cycle reading the loop word, so no
+    node carries two loops (x1* x2* is not (x1|x2)*). Expressions that
+    share a token prefix share its nodes, and the node where an
+    expression's tokens end accepts. Then one pass from the last node back
+    to the root merges each node into the first equal one it has seen (the
+    acyclic-automaton minimisation of Revuz and of Daciuk et al.): two
+    nodes are equal when they agree on acceptance, on the loop token
+    entering them, if any, and on their tokens to their merged children.
+    Matching the entering loop keeps a cycle off every node a letter
+    enters: x y* z and w z share the node after z, but not the node before
+    it, so w y z stays rejected. Only the kept nodes get states, edges and
+    cycles, so expressions that share a suffix share its states; a single
+    expression has no two equal nodes and stays a chain."""
+    alphabet = tuple(alphabet)
+    alpha = set(alphabet)
+    child: dict[tuple[int, str | tuple[str]], int] = {}
+    accepting: set[int] = set()
+    count = 1
+    for e in exprs:
+        for word in [e.prefix, *(w for block in e.blocks for w in block)]:
+            if not alpha.issuperset(word):
+                bad = next(c for c in word if c not in alpha)
+                raise AlphabetError(f"symbol {bad!r} not in the alphabet")
+        # a loop token is a 1-tuple, so the loop `a` and the letter `a` differ
+        tokens: list[str | tuple[str]] = list(e.prefix)
+        for loop, bridge in e.blocks:
+            if not loop:
+                raise ValueError("loop word of a bounded expression must be nonempty")
+            tokens.append((loop,))
+            tokens.extend(bridge)
+        cur = 0
+        for token in tokens:
+            nxt = child.get((cur, token))
+            if nxt is None:
+                nxt = child[cur, token] = count
+                count += 1
+            cur = nxt
+        accepting.add(cur)
+    # the trie numbers a node after its parent, and `child` holds one entry
+    # per node in that order, so reading it backwards meets every node after
+    # its children; the root comes last, as the child of a slot past the
+    # nodes. out[n] is n's one edge (symbol or EPS, merged child), or a list
+    # of them when n has several
+    nodes = count
+    out: list = [None] * (nodes + 1)
+    first: dict = {}
+    triples: list[tuple[int, str | None, int]] = []
+    for (parent, token), node in chain(reversed(child.items()), [((nodes, EPS), 0)]):
+        kids = out[node]
+        loop = token if token.__class__ is tuple else None
+        edges = frozenset(kids) if kids.__class__ is list else kids
+        kept = first.setdefault((node in accepting, loop, edges), node)
+        if kept == node:
+            if kids.__class__ is tuple:
+                label, kid = kids
+                triples.append((node, label, kid))
+            elif kids is not None:
+                triples.extend([(node, label, kid) for label, kid in kids])
+            if loop is not None:
+                back = node
+                for c in loop[0][:-1]:
+                    triples.append((back, c, count))
+                    back = count
+                    count += 1
+                triples.append((back, loop[0][-1], node))
+        edge = (EPS if loop else token, kept)
+        siblings = out[parent]
+        if siblings is None:
+            out[parent] = edge
+        elif siblings.__class__ is tuple:
+            out[parent] = [siblings, edge]
+        else:
+            siblings.append(edge)
+    kept_nodes = first.values()
+    return Nfa(alphabet, frozenset([*kept_nodes, *range(nodes, count)]), frozenset({0}),
+               frozenset(accepting.intersection(kept_nodes)), tuple(triples))
+
+
 def oracle_verify_easy(f: Dfa, decomposition, envelope) -> None:
     """Decomposition equivalence, then envelope inclusion decided exactly by
     determinizing the envelope's star product."""
@@ -641,6 +730,9 @@ def oracle_verify_easy(f: Dfa, decomposition, envelope) -> None:
     if gap is not None:
         raise CertificateError(
             f"decomposition differs from the filter on {word_to_text(gap)!r}")
+    for c in "".join(envelope):
+        if c not in alphabet:
+            raise AlphabetError(f"symbol {c!r} not in the alphabet")
     env_dfa = determinize(_oracle_star_product_nfa(envelope, alphabet))
     leak = oracle_inclusion_counterexample(env_dfa, dfa_as_nfa(f))
     if leak is not None:
@@ -704,6 +796,36 @@ def diamond_filter(k, loop_at=None) -> Dfa:
         mid = 3 * i + 1 + branch
         trans[(mid, "ab"[branch])] = mid
     return Dfa(("a", "b"), frozenset(range(3 * k + 1)), 0, frozenset({3 * k}), trans)
+
+
+def random_easy_filter(rng: random.Random, alphabet=("a", "b", "c"), parts=5, ring=5) -> Dfa:
+    """An easy DFA of 1 to `parts` components in sequence, each a tail
+    state or a ring of 1 to `ring` states reading a random word. Every
+    state may exit, on a letter its ring does not read, to any state of a
+    later component, so rings are entered and left at any of their
+    states; each component has an edge into the next. A state accepts with
+    probability 0.3, and the last component's first state always."""
+    comps: list[list[int]] = []
+    trans: dict[tuple[int, str], int] = {}
+    count = 0
+    for _ in range(rng.randint(1, parts)):
+        size = rng.randint(1, ring) if rng.random() < 0.6 else 0
+        states = list(range(count, count + max(size, 1)))
+        count += len(states)
+        for i, q in enumerate(states[:size]):
+            trans[q, rng.choice(alphabet)] = states[(i + 1) % size]
+        comps.append(states)
+    for i, states in enumerate(comps[:-1]):
+        later = [q for comp in comps[i + 1:] for q in comp]
+        links = [(q, c) for q in states for c in alphabet if (q, c) not in trans]
+        if not links:
+            continue
+        trans[rng.choice(links)] = comps[i + 1][0]
+        for q, c in links:
+            if (q, c) not in trans and rng.random() < 0.3:
+                trans[q, c] = rng.choice(later)
+    accepting = {q for q in range(count) if rng.random() < 0.3} | {comps[-1][0]}
+    return Dfa(tuple(alphabet), frozenset(range(count)), 0, frozenset(accepting), trans)
 
 
 def planted_hard_filter(rng: random.Random, n) -> Dfa:

@@ -10,10 +10,13 @@ checkouts can be compared by their digest alone:
 
     python tests/pool_digest.py                       # all workloads, seeds 1 5 9
     python tests/pool_digest.py --workload hard-cover --seed 5 --per-op
+    python tests/pool_digest.py --expect HEX          # exit 1 unless the digest is HEX
 
 `--per-op` also prints one line per op (its index, kind, exit code and
 the sha256 of its own stdout and stderr), to find the op that differs.
-pytest does not collect this file.
+`--expect` compares the digest with one taken at another checkout (with
+the same workloads and seeds) and, when they differ, prints both and exits
+with status 1. pytest does not collect this file.
 """
 
 from __future__ import annotations
@@ -80,12 +83,17 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, action="append",
                         help="repeatable; default: 1, 5 and 9")
     parser.add_argument("--per-op", action="store_true", help="also print one line per op")
+    parser.add_argument("--expect", metavar="HEX",
+                        help="exit 1, printing both digests, unless the digest is HEX")
     args = parser.parse_args(argv)
     names = args.workload or list(workloads.WORKLOADS)
     seeds = args.seed or [1, 5, 9]
     digest, count = pool_digest(names, seeds, args.per_op)
     print(f"{digest}  {count} ops; workloads {' '.join(names)}; "
           f"seeds {' '.join(map(str, seeds))}")
+    if args.expect is not None and args.expect.lower() != digest:
+        print(f"digest differs: expected {args.expect}, got {digest}")
+        return 1
     return 0
 
 

@@ -18,6 +18,7 @@ from helpers import (
     diamond_filter,
     enumerate_dfas,
     lang_upto,
+    oracle_bounded_nfa,
     oracle_classification_text,
     oracle_find_witness,
     oracle_union_nfa,
@@ -25,10 +26,12 @@ from helpers import (
     outcome,
     planted_hard_filter,
     random_dfa,
+    random_easy_filter,
     reached_pairs,
     ring_filter,
 )
 from rrkit import (
+    EPS,
     AlphabetError,
     BoundedExpr,
     CertificateError,
@@ -38,6 +41,7 @@ from rrkit import (
     classification_to_text,
     classify,
     condense,
+    determinize,
     dfa_to_text,
     parse_dfa,
     run_nfa,
@@ -46,7 +50,7 @@ from rrkit import (
     universal_dfa,
     verify_easy,
 )
-from rrkit.classify import _forced_ring, _shortest_word
+from rrkit.classify import _envelope_of, _forced_ring, _shortest_word
 from rrkit.cli import main
 
 # the package re-exports the function `classify` under the module's name
@@ -253,26 +257,30 @@ def _merged(exprs, alphabet):
 
 class TestMergedSubtries:
     def test_equal_suffixes_after_different_prefixes_merge(self):
-        # a (ab)* b and b (ab)* b: the nodes after a and after b merge, and
-        # with them the loop, its cycle and the accepting leaf
+        # a (ab)* b and b (ab)* b: the loop nodes after a and after b merge,
+        # and with them the cycle and the accepting leaf; each node that
+        # only hops into the loop is the loop's node, so the states are the
+        # root, the two cycle states and the leaf
         merged = _merged((BoundedExpr("a", (("ab", "b"),)),
                           BoundedExpr("b", (("ab", "b"),))), AB)
-        assert len(merged.states) == 5
+        assert len(merged.states) == 4
 
     def test_loop_entered_node_never_merges_with_a_letter_entered_one(self):
         # x y* z and w z: the leaves after z merge, but the y-loop's node
         # and the node after w, each with one z-edge to that leaf, do not,
-        # so no cycle reaches the w branch
+        # so no cycle reaches the w branch; the node after x is the loop's
         merged = _merged((BoundedExpr("x", (("y", "z"),)), BoundedExpr("wz", ())), WXYZ)
-        assert len(merged.states) == 5
+        assert len(merged.states) == 4
         assert run_nfa(merged, "wz") and run_nfa(merged, "xyyz")
         assert not run_nfa(merged, "wyz")
 
-    @pytest.mark.parametrize("prefixes, states", [(("a", "b"), 8), (("", ""), 4)],
+    @pytest.mark.parametrize("prefixes, states", [(("a", "b"), 6), (("", ""), 3)],
                              ids=["different-prefixes", "shared-prefix"])
     def test_equal_loops_with_different_bridges_stay_apart(self, prefixes, states):
-        # p (ab)* a and q (ab)* b: only the accepting leaves merge; with
-        # p = q = "" the trie already shares the loop
+        # p (ab)* a and q (ab)* b: the bridge a ends on the cycle's second
+        # state and b leaves from its first, so the loops differ and only
+        # the accepting leaf is shared; with p = q = "" the trie already
+        # shares the loop, and the root is the loop's node
         first, second = prefixes
         merged = _merged((BoundedExpr(first, (("ab", "a"),)),
                           BoundedExpr(second, (("ab", "b"),))), AB)
@@ -288,6 +296,18 @@ class TestMergedSubtries:
         pairs = reached_pairs(monkeypatch)
         verify_easy(f, verdict.decomposition, verdict.envelope)
         assert len(pairs) == 1 and pairs[0] <= len(f.states) + 1
+
+
+def _with_recognizer(build):
+    """A stand-in for `classify._recognizer` whose recognizer is
+    `build(exprs, alphabet)`; whether the envelope embeds is still read off
+    the library's own trie walk, which also raises its errors first."""
+    real = classify_module._recognizer
+
+    def recognizer(exprs, alphabet, envelope):
+        _, embedded = real(exprs, alphabet, envelope)
+        return build(exprs, alphabet), embedded
+    return recognizer
 
 
 def _tampered(exprs, words):
@@ -320,7 +340,7 @@ class TestTamperedCertificates:
     def previous(self, monkeypatch):
         def run(*args):
             with monkeypatch.context() as patch:
-                patch.setattr(classify_module, "bounded_nfa", oracle_union_nfa)
+                patch.setattr(classify_module, "_recognizer", _with_recognizer(oracle_union_nfa))
                 return outcome(verify_easy, *args)
         return run
 
@@ -334,7 +354,7 @@ class TestTamperedCertificates:
             assert got == previous(f, exprs, words), label
             if got is not None:
                 kinds.add(got[0])
-        assert kinds == {"CertificateError", "AlphabetError", "ValueError"}
+        assert kinds == {"CertificateError", "AlphabetError"}
 
     def test_pinned_messages(self):
         f = diamond_filter(2)
@@ -355,9 +375,133 @@ class TestOneRecognizerPerClassify:
         lambda: parse_dfa("dfa\nalphabet a\nstates 0\ninitial 0\naccept\n"),
     ], ids=["diamond-6", "diamond-4-looped", "ring-60", "empty"])
     def test_one_build_and_one_search(self, make, monkeypatch):
-        calls = count_calls(monkeypatch, ["bounded_nfa", "separating_word"])
+        calls = count_calls(monkeypatch, ["_recognizer", "separating_word"])
         assert isinstance(classify(make()), Easy)
-        assert calls == {"bounded_nfa": 1, "separating_word": 1}
+        assert calls == {"_recognizer": 1, "separating_word": 1}
+
+
+# ---------------------------------------------------------------------------
+# the deterministic recognizer against the construction it replaced, which
+# hung every bridge beside its loop's cycle as a letter chain of its own
+
+
+def _word(rng, lo, hi):
+    return "".join(rng.choice(AB) for _ in range(rng.randint(lo, hi)))
+
+
+def _random_block(rng):
+    """A loop of 1 to 4 letters and a bridge that runs 0 to |x| + 1 letters
+    along it and then, half the time, one or two letters more."""
+    loop = _word(rng, 1, 4)
+    along = (loop * 2)[:rng.randint(0, len(loop) + 1)]
+    return loop, along + (_word(rng, 1, 2) if rng.random() < 0.5 else "")
+
+
+def _random_decomposition(rng):
+    """1 to 5 expressions over {a, b}; after the first, most share a
+    prefix of tokens with an earlier one (its prefix and first blocks) or a
+    suffix (its last blocks after another prefix), and some repeat one."""
+    exprs: list[BoundedExpr] = []
+    for _ in range(rng.randint(1, 5)):
+        how = rng.choice(["fresh", "prefix", "suffix", "copy"]) if exprs else "fresh"
+        fresh = tuple(_random_block(rng) for _ in range(rng.randint(0, 3)))
+        if how == "fresh":
+            exprs.append(BoundedExpr(_word(rng, 0, 2), fresh))
+            continue
+        base = rng.choice(exprs)
+        cut = rng.randint(0, len(base.blocks))
+        if how == "prefix":
+            exprs.append(BoundedExpr(base.prefix, base.blocks[:cut] + fresh))
+        elif how == "suffix":
+            exprs.append(BoundedExpr(_word(rng, 0, 2), fresh[:1] + base.blocks[cut:]))
+        else:
+            exprs.append(base)
+    return tuple(exprs)
+
+
+def _is_deterministic(n) -> bool:
+    """One initial state, no epsilon edge, at most one edge per state and
+    symbol."""
+    keys = {(q, sym) for q, sym, _ in n.transitions if sym is not EPS}
+    return len(n.initial) == 1 and len(keys) == len(n.transitions)
+
+
+class TestDeterministicRecognizer:
+    def test_same_language_and_outcomes_as_the_chain_construction(self, monkeypatch):
+        rng = random.Random(211)
+        old = _with_recognizer(oracle_bounded_nfa)
+        kinds, deterministic = set(), 0
+        for _ in range(300):
+            exprs = _random_decomposition(rng)
+            trie = bounded_nfa(exprs, AB)
+            reference = oracle_bounded_nfa(exprs, AB)
+            assert separating_word(trie, reference) is None, exprs
+            deterministic += _is_deterministic(trie)
+            f = trim(determinize(reference))
+            cases = [("valid", exprs, _envelope_of(exprs)),
+                     *_tampered(exprs, _envelope_of(exprs))]
+            for label, tampered, words in cases:
+                got = outcome(verify_easy, f, tampered, words)
+                with monkeypatch.context() as patch:
+                    patch.setattr(classify_module, "_recognizer", old)
+                    assert got == outcome(verify_easy, f, tampered, words), (exprs, label)
+                kinds.add(got and got[0])
+        # both pair-search sides ran, and every kind of outcome came up
+        assert 0 < deterministic < 300
+        assert kinds == {None, "CertificateError", "AlphabetError"}
+
+    @pytest.mark.parametrize("exprs, deterministic", [
+        ((BoundedExpr("", (("ab", "a"), ("b", ""))),), False),    # stops on a cycle state
+        ((BoundedExpr("", (("ab", "abb"),)),), False),            # |x| letters along x
+        ((BoundedExpr("", (("ab", "ab"),)),), False),
+        ((BoundedExpr("", (("a", ""), ("b", ""))),), False),      # empty bridge between loops
+        ((BoundedExpr("", (("aab", "aaa"), ("b", ""))),), True),  # two letters along, exit a
+        ((BoundedExpr("a", (("b", "a"),)), BoundedExpr("b", (("b", "a"),))), True),
+        ((BoundedExpr("b", (("a", "b"),)), BoundedExpr("", (("a", "b"),))), False),
+    ], ids=["stop-then-loop", "past-the-cycle", "whole-loop", "empty-bridge", "exit",
+            "shared-suffix", "loop-beside-a-letter"])
+    def test_hand_made_decompositions(self, exprs, deterministic):
+        trie = bounded_nfa(exprs, AB)
+        assert separating_word(trie, oracle_bounded_nfa(exprs, AB)) is None
+        assert _is_deterministic(trie) is deterministic
+
+
+def _classified_filters():
+    yield from (ring_filter(random.Random(n), n, accepts)
+                for n in (1, 2, 7, 60, 200) for accepts in (1, 3) if accepts <= n)
+    yield from (diamond_filter(k) for k in range(1, 8))
+    yield from (diamond_filter(k, (i, i % 2)) for k in (2, 5, 7) for i in range(k))
+
+
+class TestClassifiedRecognizersAreDeterministic:
+    """Every decomposition `classify` builds has an epsilon-free
+    deterministic recognizer, so `verify_easy` walks two Dfas."""
+
+    def test_rings_and_diamonds(self):
+        for f in _classified_filters():
+            verdict = classify(f)
+            assert isinstance(verdict, Easy)
+            assert _is_deterministic(bounded_nfa(verdict.decomposition, f.alphabet))
+
+    def test_random_easy_filters(self):
+        rng = random.Random(223)
+        for _ in range(2000):
+            f = random_easy_filter(rng, rng.choice([AB, ("a", "b", "c")]))
+            verdict = classify(f)
+            assert isinstance(verdict, Easy)
+            assert _is_deterministic(bounded_nfa(verdict.decomposition, f.alphabet)), \
+                classification_to_text(verdict)
+
+    @pytest.mark.parametrize("make", [lambda: ring_filter(random.Random(227), 200, 3),
+                                      lambda: diamond_filter(7)], ids=["ring-200", "diamond-7"])
+    def test_verify_builds_no_nfa_side(self, make, monkeypatch):
+        f = trim(make())
+        verdict = classify(f)
+        calls = count_calls(monkeypatch, ["_index"])
+        pairs = reached_pairs(monkeypatch)
+        verify_easy(f, verdict.decomposition, verdict.envelope)
+        assert calls == {"_index": 0}
+        assert len(pairs) == 1 and pairs[0] <= len(f.states) + 1
 
 
 class TestEasyPathCallCounts:

@@ -8,6 +8,7 @@ from dataclasses import replace
 import pytest
 
 from rrkit import (
+    AlphabetError,
     CertificateError,
     CoverPlan,
     Dfa,
@@ -20,6 +21,7 @@ from rrkit import (
     parse_digraph,
     parse_dfst,
     regex_to_nfa,
+    verify_easy,
     verify_witness,
 )
 
@@ -141,6 +143,7 @@ RR = {
 
 ENDS_IN_A = determinize(regex_to_nfa("(a|b)*a"))
 WITNESS = classify(ENDS_IN_A).witness  # state 1, access `a`, exit word empty
+A_B_STAR = determinize(regex_to_nfa("ab*"))
 EASY_HEAD = "easy\nexpr p=a blocks=(b,-)\n"
 
 CLASSIFY = {
@@ -178,6 +181,10 @@ CLASSIFY = {
     "exit word misses": (
         lambda: verify_witness(ENDS_IN_A, replace(WITNESS, exit_word="b")),
         CertificateError, "exit word does not reach an accepting state", None),
+    # the error `bounded_nfa` gives for the same fault in an expression
+    "envelope letter outside the filter's alphabet": (
+        lambda: verify_easy(A_B_STAR, classify(A_B_STAR).decomposition, ("a", "bz")),
+        AlphabetError, "symbol 'z' not in the alphabet", None),
 }
 
 # ---------------------------------------------------------------------------
