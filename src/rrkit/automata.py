@@ -475,16 +475,18 @@ def universal_dfa(alphabet) -> Dfa:
 # running words
 
 
+def _check_letters(word: str, alpha: set[str], where: str = "the alphabet") -> None:
+    """Raise AlphabetError naming the first letter of `word` outside `alpha`."""
+    if not alpha.issuperset(word):
+        bad = next(c for c in word if c not in alpha)
+        raise AlphabetError(f"symbol {bad!r} not in {where}")
+
+
 def run(d: Dfa, word: str) -> bool:
-    alpha = set(d.alphabet)
-    q: int | None = d.initial
-    for c in word:
-        if c not in alpha:
-            raise AlphabetError(f"symbol {c!r} not in the machine's alphabet")
-        q = d.transitions.get((q, c))
-        if q is None:
-            return False
-    return q in d.accepting
+    """Whether d accepts `word`; a letter outside d's alphabet raises
+    AlphabetError wherever it stands in the word."""
+    _check_letters(word, set(d.alphabet), "the machine's alphabet")
+    return d.walk(d.initial, word) in d.accepting
 
 
 def _index(n: Nfa) -> tuple[dict, dict]:
@@ -534,12 +536,10 @@ def _subset_step(subset, sym, eps, moves) -> frozenset[int]:
 
 
 def run_nfa(n: Nfa, word: str) -> bool:
-    alpha = set(n.alphabet)
+    _check_letters(word, set(n.alphabet), "the machine's alphabet")
     eps, moves = _index(n)
     cur = _closure(n.initial, eps)
     for c in word:
-        if c not in alpha:
-            raise AlphabetError(f"symbol {c!r} not in the machine's alphabet")
         cur = _subset_step(cur, c, eps, moves)
     return bool(cur & n.accepting)
 

@@ -44,11 +44,11 @@ from itertools import chain
 
 from .automata import (
     EPS,
-    AlphabetError,
     Condensation,
     Dfa,
     FormatError,
     Nfa,
+    _check_letters,
     _check_symbol,
     _is_number,
     _logical_lines,
@@ -303,31 +303,19 @@ def _easy_exprs(ft: Dfa, cond: Condensation) -> tuple[BoundedExpr, ...]:
     return tuple(dict.fromkeys(out))
 
 
-def _factors(e: BoundedExpr) -> list[str]:
-    """The prefix letters, then per block its loop word and bridge letters."""
-    factors = list(e.prefix)
-    for loop, bridge in e.blocks:
-        factors.append(loop)
-        factors.extend(bridge)
-    return factors
-
-
 def _envelope_of(exprs) -> tuple[str, ...]:
-    """Envelope factors: every expression's factors in expression order;
-    consecutive duplicates merge (w* w* = w*)."""
+    """Envelope factors: each expression's prefix letters, then per block
+    its loop word and its bridge letters, in expression order; consecutive
+    duplicates merge (w* w* = w*)."""
     words: list[str] = []
     for e in exprs:
-        for factor in _factors(e):
+        factors = list(e.prefix)
+        for loop, bridge in e.blocks:
+            factors += [loop, *bridge]
+        for factor in factors:
             if not words or words[-1] != factor:
                 words.append(factor)
     return tuple(words)
-
-
-def _check_letters(word: str, alpha: set[str]) -> None:
-    """Raise AlphabetError naming the first letter of `word` outside `alpha`."""
-    if not alpha.issuperset(word):
-        bad = next(c for c in word if c not in alpha)
-        raise AlphabetError(f"symbol {bad!r} not in the alphabet")
 
 
 def bounded_nfa(exprs, alphabet) -> Nfa:
@@ -335,15 +323,16 @@ def bounded_nfa(exprs, alphabet) -> Nfa:
     tokens, with equal subtries merged.
 
     An expression's tokens are its prefix letters, then per block (x, y) a
-    loop x and y's letters. A letter is an edge to a child node. A loop is
-    an epsilon edge to a loop node that carries a cycle of |x| states
-    reading x, so no state carries two cycles (x1* x2* is not (x1|x2)*).
-    y is read along that cycle for as long as the two words agree, at most
-    |x| - 1 letters, and goes on, or ends accepting, at the cycle state
-    where it stops. A node that does not accept and whose only edge is the
-    epsilon edge into a loop node is that loop node. Expressions that share
-    a token prefix share its nodes, and the node where an expression's
-    tokens end accepts.
+    loop x, the letters y reads along x's cycle (one token, possibly
+    empty), and y's other letters. A letter is an edge to a child node. A
+    loop is an epsilon edge to a loop node that carries a cycle of |x|
+    states reading x, so no state carries two cycles (x1* x2* is not
+    (x1|x2)*). y is read along that cycle for as long as the two words
+    agree, at most |x| - 1 letters, and goes on, or ends accepting, at the
+    cycle state where it stops, so a loop node's children are its stops. A
+    node that does not accept and whose only edge is the epsilon edge into
+    a loop node is that loop node. Expressions that share a token prefix
+    share its nodes, and the node where an expression's tokens end accepts.
 
     Then one pass from the last node back to the root merges each node into
     the first equal one it has seen (the acyclic-automaton minimisation of
@@ -380,47 +369,54 @@ def _recognizer(exprs, alphabet, envelope) -> tuple[Dfa | Nfa, bool]:
 def _trie(exprs, alphabet, envelope) -> tuple[int, frozenset[int], list, int, bool]:
     """`bounded_nfa`'s merged trie as (root state, accepting states,
     transition triples, state count), its states numbered 0, 1, ... as
-    they are kept, and whether each expression's factors (`_factors`)
-    embed in order into the envelope words: each goes to a word at or
-    after the previous factor's of which it is a positive power. Greedy
-    earliest choice finds such a placement whenever one exists, and the
-    walk that inserts the tokens records at each new trie node the
-    envelope position after its factors, so expressions that share a
-    token prefix embed it once."""
+    they are kept, and whether each expression's factors (prefix letters,
+    then per block the loop word and the bridge letters) embed in order
+    into the envelope words: each goes to a word at or after the previous
+    factor's of which it is a positive power. Greedy earliest choice finds
+    such a placement whenever one exists, and the walk that inserts the
+    tokens records at each new trie node the envelope position after the
+    factors its token reads, so expressions that share a token prefix
+    embed it once."""
     alpha = set(alphabet)
     # an empty envelope word is refused before the embedding is read
     words = tuple(envelope) if all(envelope) else ()
-    child: dict[tuple[int, str | int | tuple[str]], int] = {}
+    child: dict[tuple[int, str | tuple[str]], int] = {}
     accepting: set[int] = set()
     at: list[int | None] = [0]  # envelope position after each node's factors, None if none
+    stops: dict[int, list] = {}  # each loop node's stop positions
     embedded = True
     for e in exprs:
         for word in [e.prefix, *(w for block in e.blocks for w in block)]:
             _check_letters(word, alpha)
-        # a loop token is a 1-tuple and a step along its cycle the int
-        # position it reaches, so neither is mistaken for a letter; the
-        # tokens line up with `_factors(e)`, a step with the letter it reads
-        tokens: list[str | int | tuple[str]] = list(e.prefix)
+        # a block (x, y) is the loop token (x,), a 1-tuple so that it is not
+        # mistaken for a letter, then the word y[:k] that y reads along x's
+        # cycle, possibly "", then y's other letters; each token iterates to
+        # the factors it reads, and a loop node's children are its stops
+        tokens: list[str | tuple[str]] = list(e.prefix)
         for loop, bridge in e.blocks:
             if not loop:
                 raise ValueError("loop word of a bounded expression must be nonempty")
             k, stop = 0, min(len(loop) - 1, len(bridge))
             while k < stop and bridge[k] == loop[k]:
                 k += 1
-            tokens += [(loop,), *range(1, k + 1), *bridge[k:]]
+            tokens += [(loop,), bridge[:k], *bridge[k:]]
         cur = 0
-        for token, factor in zip(tokens, _factors(e)):
+        for token in tokens:
             nxt = child.get((cur, token))
             if nxt is None:
                 nxt = child[cur, token] = len(at)
+                if token.__class__ is tuple:
+                    stops[nxt] = []
                 i = at[cur]
                 if i is not None:
-                    while i < len(words):
-                        if words[i] * (len(factor) // len(words[i])) == factor:
+                    for factor in token:
+                        while i < len(words):
+                            if words[i] * (len(factor) // len(words[i])) == factor:
+                                break
+                            i += 1
+                        else:
+                            i = None
                             break
-                        i += 1
-                    else:
-                        i = None
                 at.append(i)
             cur = nxt
         accepting.add(cur)
@@ -429,13 +425,10 @@ def _trie(exprs, alphabet, envelope) -> tuple[int, frozenset[int], list, int, bo
     # per node in that order, so reading it backwards meets every node after
     # its children; the root comes last, as the child of a slot past the
     # nodes. out[n] is n's one edge (symbol or EPS, state), or a list of
-    # them when n has several. along[n] links, for a loop node or a step
-    # node n, the later positions on n's cycle where a bridge stops or goes
-    # on: (position, accepts, its edges as a frozenset key, its out entry,
-    # the next link)
+    # them when n has several; a stop adds (position on the cycle, accepts,
+    # its edges as a frozenset key, its out entry) to its loop node's list
     nodes = len(at)
     out: list = [None] * (nodes + 1)
-    along: list = [None] * (nodes + 1)
     first: dict = {}
     triples: list[tuple[int, str | None, int]] = []
     final: list[int] = []
@@ -451,17 +444,12 @@ def _trie(exprs, alphabet, envelope) -> tuple[int, frozenset[int], list, int, bo
         kids = out[node]
         edges = frozenset(kids) if kids.__class__ is list else kids
         accepts = node in accepting
-        if token.__class__ is int:
-            along[parent] = (along[node] if kids is None and not accepts
-                             else (token, accepts, edges, kids, along[node]))
+        if parent in stops:
+            stops[parent].append((len(token), accepts, edges, kids))
             continue
         if token.__class__ is tuple:
-            stops = [(0, accepts, edges, kids)]
-            step = along[node]
-            while step is not None:
-                stops.append(step[:4])
-                step = step[4]
-            key = (token, *((j, a, es) for j, a, es, _ in stops))
+            places = sorted(stops[node])
+            key = (token, *((j, a, es) for j, a, es, _ in places))
             state = first.get(key)
             if state is None:
                 state = first[key] = count
@@ -469,7 +457,7 @@ def _trie(exprs, alphabet, envelope) -> tuple[int, frozenset[int], list, int, bo
                 count += len(loop)
                 triples += [(state + i, c, state + i + 1) for i, c in enumerate(loop[:-1])]
                 triples.append((count - 1, loop[-1], state))
-                for j, a, _, ks in stops:
+                for j, a, _, ks in places:
                     if a:
                         final.append(state + j)
                     write(state + j, ks)

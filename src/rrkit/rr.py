@@ -17,11 +17,11 @@ from itertools import islice
 
 from .automata import (
     EPS,
-    AlphabetError,
     Dfa,
     FormatError,
     Nfa,
     _MEET,
+    _check_letters,
     _is_number,
     _logical_lines,
     _pair_search,
@@ -185,10 +185,7 @@ def reachability_gadget(g: Digraph, word: str, alphabet) -> Nfa:
     graph edge, and a path labeled by `word` from the target node to the
     single accepting state."""
     alphabet = tuple(alphabet)
-    alpha = set(alphabet)
-    for c in word:
-        if c not in alpha:
-            raise AlphabetError(f"symbol {c!r} not in the alphabet")
+    _check_letters(word, set(alphabet))
     triples: list[tuple[int, str | None, int]] = [
         (u, EPS, v) for u, v in g.edges
     ]

@@ -34,6 +34,7 @@ from .automata import (
     Dfa,
     FormatError,
     Nfa,
+    _check_letters,
     _kw_line,
     _logical_lines,
     _parse_alphabet,
@@ -83,22 +84,14 @@ class Dfst:
 
 
 def apply(t: Dfst, x: str) -> str | None:
-    """Transduce `x`; None when the machine is undefined on it."""
-    alpha = set(t.in_alphabet)
-    q = t.initial
-    out: list[str] = []
-    for c in x:
-        if c not in alpha:
-            raise AlphabetError(f"symbol {c!r} not in the input alphabet")
-        tr = t.transitions.get((q, c))
-        if tr is None:
-            return None
-        emitted, q = tr
-        out.append(emitted)
-    if q not in t.accepting:
+    """Transduce `x`; None when the machine is undefined on it. A letter
+    outside the input alphabet raises AlphabetError wherever it stands."""
+    _check_letters(x, set(t.in_alphabet), "the input alphabet")
+    fed = _feed(t, t.initial, x)
+    if fed is None or fed[1] not in t.accepting:
         return None
-    out.append(t.final_output.get(q, ""))
-    return "".join(out)
+    out, q = fed
+    return out + t.final_output.get(q, "")
 
 
 def _feed(t: Dfst, q: int, word: str) -> tuple[str, int] | None:

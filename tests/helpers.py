@@ -57,7 +57,7 @@ from rrkit.automata import (
 )
 from rrkit.cover import plan_cover
 from rrkit.transducer import _feed
-from rrkit.classify import _easy_exprs, _envelope_of
+from rrkit.classify import _easy_exprs
 
 
 def words_upto(alphabet, n):
@@ -722,6 +722,158 @@ def oracle_bounded_nfa(exprs, alphabet) -> Nfa:
                frozenset(accepting.intersection(kept_nodes)), tuple(triples))
 
 
+# `classify._factors`, `_envelope_of` and `_trie` as they were when each
+# letter a bridge reads along its loop's cycle had a trie node of its own (an
+# int step token) and the merge pass linked those nodes in an `along` list;
+# kept verbatim as the reference for the construction that reads such a run
+# as one token, and for the certificate text's envelope
+def _oracle_factors(e: BoundedExpr) -> list[str]:
+    """The prefix letters, then per block its loop word and bridge letters."""
+    factors = list(e.prefix)
+    for loop, bridge in e.blocks:
+        factors.append(loop)
+        factors.extend(bridge)
+    return factors
+
+
+def oracle_envelope_of(exprs) -> tuple[str, ...]:
+    """Envelope factors: every expression's factors in expression order;
+    consecutive duplicates merge (w* w* = w*)."""
+    words: list[str] = []
+    for e in exprs:
+        for factor in _oracle_factors(e):
+            if not words or words[-1] != factor:
+                words.append(factor)
+    return tuple(words)
+
+
+def _oracle_check_letters(word: str, alpha: set[str]) -> None:
+    """Raise AlphabetError naming the first letter of `word` outside `alpha`."""
+    if not alpha.issuperset(word):
+        bad = next(c for c in word if c not in alpha)
+        raise AlphabetError(f"symbol {bad!r} not in the alphabet")
+
+
+def oracle_trie(exprs, alphabet, envelope) -> tuple[int, frozenset[int], list, int, bool]:
+    """`bounded_nfa`'s merged trie as (root state, accepting states,
+    transition triples, state count), its states numbered 0, 1, ... as
+    they are kept, and whether each expression's factors (`_oracle_factors`)
+    embed in order into the envelope words: each goes to a word at or
+    after the previous factor's of which it is a positive power. Greedy
+    earliest choice finds such a placement whenever one exists, and the
+    walk that inserts the tokens records at each new trie node the
+    envelope position after its factors, so expressions that share a
+    token prefix embed it once."""
+    alpha = set(alphabet)
+    # an empty envelope word is refused before the embedding is read
+    words = tuple(envelope) if all(envelope) else ()
+    child: dict[tuple[int, str | int | tuple[str]], int] = {}
+    accepting: set[int] = set()
+    at: list[int | None] = [0]  # envelope position after each node's factors, None if none
+    embedded = True
+    for e in exprs:
+        for word in [e.prefix, *(w for block in e.blocks for w in block)]:
+            _oracle_check_letters(word, alpha)
+        # a loop token is a 1-tuple and a step along its cycle the int
+        # position it reaches, so neither is mistaken for a letter; the
+        # tokens line up with `_oracle_factors(e)`, a step with the letter it reads
+        tokens: list[str | int | tuple[str]] = list(e.prefix)
+        for loop, bridge in e.blocks:
+            if not loop:
+                raise ValueError("loop word of a bounded expression must be nonempty")
+            k, stop = 0, min(len(loop) - 1, len(bridge))
+            while k < stop and bridge[k] == loop[k]:
+                k += 1
+            tokens += [(loop,), *range(1, k + 1), *bridge[k:]]
+        cur = 0
+        for token, factor in zip(tokens, _oracle_factors(e)):
+            nxt = child.get((cur, token))
+            if nxt is None:
+                nxt = child[cur, token] = len(at)
+                i = at[cur]
+                if i is not None:
+                    while i < len(words):
+                        if words[i] * (len(factor) // len(words[i])) == factor:
+                            break
+                        i += 1
+                    else:
+                        i = None
+                at.append(i)
+            cur = nxt
+        accepting.add(cur)
+        embedded = embedded and at[cur] is not None
+    # the trie numbers a node after its parent, and `child` holds one entry
+    # per node in that order, so reading it backwards meets every node after
+    # its children; the root comes last, as the child of a slot past the
+    # nodes. out[n] is n's one edge (symbol or EPS, state), or a list of
+    # them when n has several. along[n] links, for a loop node or a step
+    # node n, the later positions on n's cycle where a bridge stops or goes
+    # on: (position, accepts, its edges as a frozenset key, its out entry,
+    # the next link)
+    nodes = len(at)
+    out: list = [None] * (nodes + 1)
+    along: list = [None] * (nodes + 1)
+    first: dict = {}
+    triples: list[tuple[int, str | None, int]] = []
+    final: list[int] = []
+    count = 0
+
+    def write(source, kids):
+        if kids.__class__ is tuple:
+            triples.append((source, *kids))
+        elif kids is not None:
+            triples.extend([(source, label, state) for label, state in kids])
+
+    for (parent, token), node in chain(reversed(child.items()), [((nodes, EPS), 0)]):
+        kids = out[node]
+        edges = frozenset(kids) if kids.__class__ is list else kids
+        accepts = node in accepting
+        if token.__class__ is int:
+            along[parent] = (along[node] if kids is None and not accepts
+                             else (token, accepts, edges, kids, along[node]))
+            continue
+        if token.__class__ is tuple:
+            stops = [(0, accepts, edges, kids)]
+            step = along[node]
+            while step is not None:
+                stops.append(step[:4])
+                step = step[4]
+            key = (token, *((j, a, es) for j, a, es, _ in stops))
+            state = first.get(key)
+            if state is None:
+                state = first[key] = count
+                loop = token[0]
+                count += len(loop)
+                triples += [(state + i, c, state + i + 1) for i, c in enumerate(loop[:-1])]
+                triples.append((count - 1, loop[-1], state))
+                for j, a, _, ks in stops:
+                    if a:
+                        final.append(state + j)
+                    write(state + j, ks)
+            edge = (EPS, state)
+        else:
+            if not accepts and kids.__class__ is tuple and kids[0] is EPS:
+                state = kids[1]
+            else:
+                state = first.get((accepts, edges))
+                if state is None:
+                    state = first[accepts, edges] = count
+                    count += 1
+                    if accepts:
+                        final.append(state)
+                    write(state, kids)
+            edge = (token, state)
+        siblings = out[parent]
+        if siblings is None:
+            out[parent] = edge
+        elif siblings.__class__ is tuple:
+            out[parent] = [siblings, edge]
+        else:
+            siblings.append(edge)
+    # `state` is now the root's
+    return state, frozenset(final), triples, count, embedded
+
+
 def oracle_verify_easy(f: Dfa, decomposition, envelope) -> None:
     """Decomposition equivalence, then envelope inclusion decided exactly by
     determinizing the envelope's star product."""
@@ -745,15 +897,15 @@ def oracle_verify_easy(f: Dfa, decomposition, envelope) -> None:
 
 
 def oracle_classification_text(f: Dfa) -> str:
-    """Certificate text built with the reference witness search and the
-    reference envelope check."""
+    """Certificate text built with the reference witness search, the
+    reference envelope words and the reference envelope check."""
     ft = trim(f)
     witness = oracle_find_witness(ft)
     if witness is not None:
         verify_witness(ft, witness)
         return classification_to_text(Hard(witness))
     exprs = _easy_exprs(ft, condense(ft))
-    words = _envelope_of(exprs)
+    words = oracle_envelope_of(exprs)
     oracle_verify_easy(ft, exprs, words)
     return classification_to_text(Easy(exprs, words))
 

@@ -15,12 +15,14 @@ from rrkit import (
     Dfst,
     FormatError,
     Nfa,
+    apply,
     classification_from_text,
     classify,
     determinize,
     parse_digraph,
     parse_dfst,
     regex_to_nfa,
+    run,
     verify_easy,
     verify_witness,
 )
@@ -59,6 +61,10 @@ AUTOMATA = {
     "nfa foreign symbol": (
         lambda: Nfa(("a",), frozenset({0}), frozenset({0}), frozenset(), ((0, "c", 0),)),
         ValueError, "transition symbol 'c' not in alphabet", None),
+    # the start state has no `b` edge, so a walk would die before the `z`
+    "run foreign letter after the walk dies": (
+        lambda: run(Dfa(("a", "b"), frozenset({0}), 0, frozenset({0}), {(0, "a"): 0}), "bz"),
+        AlphabetError, "symbol 'z' not in the machine's alphabet", None),
 }
 
 # ---------------------------------------------------------------------------
@@ -119,6 +125,9 @@ TRANSDUCER = {
     "constructor final output symbols": (
         _dfst(final_output={1: "b"}),
         ValueError, "final output 'b' uses symbols outside the output alphabet", None),
+    "apply foreign letter after the run dies": (
+        lambda: apply(_dfst(in_alphabet=("a", "b"), transitions={(0, "a"): ("a", 1)})(), "bz"),
+        AlphabetError, "symbol 'z' not in the input alphabet", None),
 }
 
 # ---------------------------------------------------------------------------
