@@ -22,22 +22,30 @@ exists only where r reads it, and a state accepts only where the trie and
 r both accept. That restricts the image to exactly L(r). The surjection
 is the same construction with r the DFA of Γ*.
 
-Both prove the image equal to the target before returning, by the
-trie's right inverse e(w) = access · code(w) · u u s, where code(w)
-spells each letter's bits in zero and one words. Two deterministic walks
-decide it, with no image automaton and no subset search: (a) no reachable
-triple of transducer, filter and target states ends a filter word with an
-output the target rejects, and (b) for every target word w, e(w) lies in
-the filter and the transducer maps it back to w. (b) is sufficient, not
-necessary; when either walk fails, the exact check (`cover_gap`) decides,
-so a refused cover names the same separating word as before.
+Both prove the image equal to the target before returning, with no
+image automaton and no subset search. (a) The image lies within the
+target: one pass over the transducer's transitions, in the breadth-first
+order `_restrict` lists them, gives each transducer state the one target
+state its outputs lead to, and every accepting state's target state must
+accept after its final output. That proves the image of all input words
+within the target. A machine the pass cannot settle (another numbering,
+two target states for one state, a source listed before it is reached,
+or an accepting state where the target rejects) goes to a walk over the
+reachable triples of transducer, filter and target states, which asks
+the same of filter words only. (b) The target lies within the image, by
+the trie's right inverse e(w) = access · code(w) · u u s, where code(w)
+spells each letter's bits in zero and one words: a deterministic walk
+checks that for every target word w, e(w) lies in the filter and the
+transducer maps it back to w. (b) is sufficient, not necessary; when
+either check fails, the exact check (`cover_gap`) decides, so a
+refused cover names the same separating word as before.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .automata import Dfa, separating_word, universal_dfa
+from .automata import Dfa, _ranks, separating_word, universal_dfa
 from .classify import (
     CertificateError,
     ClassificationMismatch,
@@ -120,11 +128,55 @@ def _build_dispatch(plan: CoverPlan, in_alphabet) -> Dfst:
                 frozenset({1}), transitions, {})
 
 
+_UNSEEN = object()  # a transducer state no edge has reached yet
+
+
 def _image_within(t: Dfst, f: Dfa, r: Dfa) -> bool:
-    """(a) image(t over f) ⊆ L(r). Walks the reachable triples of t, f and r
-    states, r following t's output; a missing r transition is a dead,
-    rejecting state (None), which is kept, not pruned. False when some
-    triple has t and f accepting while r rejects after the final output."""
+    """(a) image(t over f) ⊆ L(r). When t's states are 0..T-1, one pass
+    over t's transitions in their listed order gives each state that an
+    edge from a reached state leads into the r state t's outputs lead to
+    (None once r is dead). If every reached state gets one r state and
+    every reached accepting state's r state accepts after t's final
+    output, even the image of all of t's inputs lies in L(r). That settles
+    every cover and surjection: a breadth-first `_restrict` product whose
+    pairs carry their r state. `_triples_within` decides every other
+    machine: other state ids, a second r state for one state, a source
+    reached only after its edges were passed over, or a reached accepting
+    state whose r state rejects."""
+    if _ranks(t.states) is not None:
+        return _triples_within(t, f, r)
+    r_get = r.transitions.get
+    at = [_UNSEEN] * len(t.states)  # each state's r state
+    at[t.initial] = r.initial
+    passed: set[int] = set()  # sources whose edges came before they were reached
+    for (q, _), (out, dst) in t.transitions.items():
+        qr = at[q]
+        if qr is _UNSEEN:
+            passed.add(q)
+            continue
+        for c in out:
+            qr = r_get((qr, c))  # (None, c) is no key: dead stays dead
+        known = at[dst]
+        if known is _UNSEEN:
+            if dst in passed:
+                return _triples_within(t, f, r)
+            at[dst] = qr
+        elif known != qr:
+            return _triples_within(t, f, r)
+    r_accepting, final_output = r.accepting, t.final_output
+    for q in t.accepting:
+        qr = at[q]
+        if qr is not _UNSEEN and r.walk(qr, final_output.get(q, "")) not in r_accepting:
+            return _triples_within(t, f, r)
+    return True
+
+
+def _triples_within(t: Dfst, f: Dfa, r: Dfa) -> bool:
+    """(a) decided exactly, for the machines `_image_within`'s pass cannot
+    settle. Walks the reachable triples of t, f and r states, r following
+    t's output; a missing r transition is a dead, rejecting state (None),
+    which is kept, not pruned. False when some triple has t and f
+    accepting while r rejects after the final output."""
     t_get, f_get, r_get = t.transitions.get, f.transitions.get, r.transitions.get
     t_accepting, f_accepting, r_accepting = t.accepting, f.accepting, r.accepting
     final_output, alphabet = t.final_output, f.alphabet
@@ -162,9 +214,12 @@ def _inverse_reaches(t: Dfst, f: Dfa, r: Dfa, plan: CoverPlan) -> bool:
     states from the access word: on every r letter c, f must be defined on
     code(c) and t must emit exactly c; at every accepting r state the stop
     word must take f to acceptance and t to an accepting state with empty
-    output. r's letters must be among the plan's. Sufficient, not
-    necessary: False means only "not proved"."""
+    output. r's letters must be among the plan's. Each code is walked
+    through f once per f state that the walk meets, not once per (r, t, f)
+    state; a cover meets only the pivot. Sufficient, not necessary: False
+    means only "not proved"."""
     codes = {letter: _spell(plan, bits) for letter, bits in plan.letter_codes}
+    rows: dict[int, dict[str, int | None]] = {}  # f state -> letter -> f after its code
     access = plan.witness.access
     fed = _feed(t, t.initial, access)
     qf = f.walk(f.initial, access)
@@ -181,13 +236,15 @@ def _inverse_reaches(t: Dfst, f: Dfa, r: Dfa, plan: CoverPlan) -> bool:
             if fed is None or fed[0] or fed[1] not in t.accepting \
                     or t.final_output.get(fed[1]) or f.walk(qf, stop) not in f.accepting:
                 return False
+        row = rows.get(qf)
+        if row is None:
+            row = rows[qf] = {c: f.walk(qf, code) for c, code in codes.items()}
         for c in r.alphabet:
             qr2 = r.transitions.get((qr, c))
             if qr2 is None:
                 continue
-            code = codes[c]
-            fed = _feed(t, qt, code)
-            qf2 = f.walk(qf, code)
+            fed = _feed(t, qt, codes[c])
+            qf2 = row[c]
             if fed is None or fed[0] != c or qf2 is None:
                 return False
             state = (qr2, fed[1], qf2)
@@ -200,8 +257,7 @@ def _inverse_reaches(t: Dfst, f: Dfa, r: Dfa, plan: CoverPlan) -> bool:
 def _dispatch_onto(f: Dfa, witness: HardnessWitness, letters, r: Dfa) -> tuple[Dfst, str | None]:
     """The dispatch trie of `witness` over `letters` run in step with r,
     and the word on which its image over L(f) differs from L(r): None when
-    the two right-inverse walks prove them equal, else what `cover_gap`
-    finds."""
+    walks (a) and (b) prove them equal, else what `cover_gap` finds."""
     plan = plan_cover(witness, letters)
     t = _restrict(_build_dispatch(plan, f.alphabet), r)
     if _image_within(t, f, r) and _inverse_reaches(t, f, r, plan):
@@ -231,10 +287,10 @@ def cover(f: Dfa, r: Dfa) -> Dfst:
     reads it.
 
     Before it is returned, its image over L(f) is proved equal to L(r) by
-    two deterministic walks over the trie's right inverse (see the module
-    docstring). Only when a walk fails does the exact check `cover_gap`
-    run; a gap it finds raises `CertificateError` naming the word, and
-    none returns the transducer.
+    a pass over its transitions and a walk over the trie's right inverse
+    (see the module docstring). Only when one of them fails does the exact
+    check `cover_gap` run; a gap it finds raises `CertificateError` naming
+    the word, and none returns the transducer.
     """
     verdict = classify(f)
     if not isinstance(verdict, Hard):

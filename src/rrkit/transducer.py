@@ -332,10 +332,12 @@ def dfst_to_text(t: Dfst) -> str:
 
 def _canonical_text(t: Dfst) -> str | None:
     """The text of t when its numbering is the breadth-first one, else None."""
-    if t.initial != 0:
+    if t.initial != 0 or _ranks(t.states) is not None:  # its states are not 0..T-1
         return None
     rank = {sym: k for k, sym in enumerate(t.in_alphabet)}
     width = len(rank)
+    size = len(t.states)
+    names = list(map(str, range(size)))  # each numeral made once
     last = -1
     fresh = 1
     trans_lines: list[str] = []
@@ -347,14 +349,14 @@ def _canonical_text(t: Dfst) -> str | None:
         if dst == fresh:
             fresh += 1
         last = key
-        add(f"trans {q} {sym} {out or '-'} {dst}")
-    if fresh != len(t.states):
+        add(f"trans {names[q]} {sym} {out or '-'} {names[dst]}")
+    if fresh != size:
         return None
     lines = [
         "dfst",
         _kw_line("in_alphabet", t.in_alphabet),
         _kw_line("out_alphabet", t.out_alphabet),
-        _kw_line("states", map(str, range(fresh))),
+        _kw_line("states", names),
         "initial 0",
         _kw_line("accept", map(str, sorted(t.accepting))),
         *trans_lines,

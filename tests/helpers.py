@@ -1199,6 +1199,45 @@ def oracle_image_within(t: Dfst, f: Dfa, r: Dfa) -> bool:
     return True
 
 
+def oracle_inverse_reaches(t: Dfst, f: Dfa, r: Dfa, plan: CoverPlan) -> bool:
+    """`cover._inverse_reaches` before it walked each code through f once
+    per f state: (b) L(r) ⊆ image(t over f) by the right inverse
+    e(w) = access · code(w) · stop word, each code walked through f at
+    every reached (r, t, f) state."""
+    codes = {letter: "".join(plan.one_word if bit == "1" else plan.zero_word for bit in bits)
+             for letter, bits in plan.letter_codes}
+    access = plan.witness.access
+    fed = _feed(t, t.initial, access)
+    qf = f.walk(f.initial, access)
+    if fed is None or fed[0] or qf is None:
+        return False
+    stop = plan.stop_word
+    start = (r.initial, fed[1], qf)
+    seen = {start}
+    stack = [start]
+    while stack:
+        qr, qt, qf = stack.pop()
+        if qr in r.accepting:
+            fed = _feed(t, qt, stop)
+            if fed is None or fed[0] or fed[1] not in t.accepting \
+                    or t.final_output.get(fed[1]) or f.walk(qf, stop) not in f.accepting:
+                return False
+        for c in r.alphabet:
+            qr2 = r.transitions.get((qr, c))
+            if qr2 is None:
+                continue
+            code = codes[c]
+            fed = _feed(t, qt, code)
+            qf2 = f.walk(qf, code)
+            if fed is None or fed[0] != c or qf2 is None:
+                return False
+            state = (qr2, fed[1], qf2)
+            if state not in seen:
+                seen.add(state)
+                stack.append(state)
+    return True
+
+
 def _oracle_decode(plan: CoverPlan, bits: str) -> str:
     i = int(bits, 2)
     return plan.letters[i] if i < len(plan.letters) else plan.letters[-1]

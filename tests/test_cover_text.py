@@ -1,10 +1,12 @@
 """A cover is written in one pass over its own numbering, and walk (a) of
-its image proof takes fewer lookups.
+its image proof is one pass over its transitions.
 
 `dfst_to_text` writes a machine whose numbering is already the
 breadth-first one in one pass and renumbers any other machine first;
-`cover._image_within` walks the same triples as before. Both must agree
-with the versions they replaced, kept in `helpers`, on every input."""
+`cover._image_within` settles a cover in one ordered pass over its
+transitions and hands any machine that pass cannot settle to the walk
+over reachable triples. Both must agree with the versions they replaced,
+kept in `helpers`, on every input."""
 
 import importlib
 import random
