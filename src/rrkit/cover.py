@@ -28,17 +28,14 @@ target: one pass over the transducer's transitions, in the breadth-first
 order `_restrict` lists them, gives each transducer state the one target
 state its outputs lead to, and every accepting state's target state must
 accept after its final output. That proves the image of all input words
-within the target. A machine the pass cannot settle (another numbering,
-two target states for one state, a source listed before it is reached,
-or an accepting state where the target rejects) goes to a walk over the
-reachable triples of transducer, filter and target states, which asks
-the same of filter words only. (b) The target lies within the image, by
-the trie's right inverse e(w) = access · code(w) · u u s, where code(w)
-spells each letter's bits in zero and one words: a deterministic walk
-checks that for every target word w, e(w) lies in the filter and the
-transducer maps it back to w. (b) is sufficient, not necessary; when
-either check fails, the exact check (`cover_gap`) decides, so a
-refused cover names the same separating word as before.
+within the target. (b) The target lies within the image, by the trie's
+right inverse e(w) = access · code(w) · u u s, where code(w) spells each
+letter's bits in zero and one words: a deterministic walk checks that
+for every target word w, e(w) lies in the filter and the transducer maps
+it back to w. Both are sufficient, not necessary. When either fails (for
+(a), on a machine its pass cannot settle), the one exact check,
+`cover_gap`, decides, so a refused cover names the same separating word
+as before.
 """
 
 from __future__ import annotations
@@ -131,79 +128,39 @@ def _build_dispatch(plan: CoverPlan, in_alphabet) -> Dfst:
 _UNSEEN = object()  # a transducer state no edge has reached yet
 
 
-def _image_within(t: Dfst, f: Dfa, r: Dfa) -> bool:
-    """(a) image(t over f) ⊆ L(r). When t's states are 0..T-1, one pass
-    over t's transitions in their listed order gives each state that an
-    edge from a reached state leads into the r state t's outputs lead to
-    (None once r is dead). If every reached state gets one r state and
-    every reached accepting state's r state accepts after t's final
-    output, even the image of all of t's inputs lies in L(r). That settles
-    every cover and surjection: a breadth-first `_restrict` product whose
-    pairs carry their r state. `_triples_within` decides every other
-    machine: other state ids, a second r state for one state, a source
-    reached only after its edges were passed over, or a reached accepting
-    state whose r state rejects."""
+def _image_within(t: Dfst, r: Dfa) -> bool:
+    """(a) image(t over f) ⊆ L(r), proved through the stronger claim that
+    the image of all of t's inputs lies in L(r), so the filter f is never
+    read. When t's states are 0..T-1, one pass over t's transitions in
+    their listed order gives each state that an edge leads into the r
+    state t's outputs lead to (None once r is dead). The claim holds when
+    every edge's source is reached before it is listed, every reached
+    state gets one r state, and every reached accepting state's r state
+    accepts after t's final output. That settles every cover and
+    surjection: a breadth-first `_restrict` product whose pairs carry
+    their r state. Sufficient, not necessary: False means only "not
+    proved", and `cover_gap` decides."""
     if _ranks(t.states) is not None:
-        return _triples_within(t, f, r)
+        return False
     r_get = r.transitions.get
     at = [_UNSEEN] * len(t.states)  # each state's r state
     at[t.initial] = r.initial
-    passed: set[int] = set()  # sources whose edges came before they were reached
     for (q, _), (out, dst) in t.transitions.items():
         qr = at[q]
         if qr is _UNSEEN:
-            passed.add(q)
-            continue
+            return False
         for c in out:
             qr = r_get((qr, c))  # (None, c) is no key: dead stays dead
         known = at[dst]
         if known is _UNSEEN:
-            if dst in passed:
-                return _triples_within(t, f, r)
             at[dst] = qr
         elif known != qr:
-            return _triples_within(t, f, r)
+            return False
     r_accepting, final_output = r.accepting, t.final_output
     for q in t.accepting:
         qr = at[q]
         if qr is not _UNSEEN and r.walk(qr, final_output.get(q, "")) not in r_accepting:
-            return _triples_within(t, f, r)
-    return True
-
-
-def _triples_within(t: Dfst, f: Dfa, r: Dfa) -> bool:
-    """(a) decided exactly, for the machines `_image_within`'s pass cannot
-    settle. Walks the reachable triples of t, f and r states, r following
-    t's output; a missing r transition is a dead, rejecting state (None),
-    which is kept, not pruned. False when some triple has t and f
-    accepting while r rejects after the final output."""
-    t_get, f_get, r_get = t.transitions.get, f.transitions.get, r.transitions.get
-    t_accepting, f_accepting, r_accepting = t.accepting, f.accepting, r.accepting
-    final_output, alphabet = t.final_output, f.alphabet
-    start = (t.initial, f.initial, r.initial)
-    seen = {start}
-    stack = [start]
-    see, push, pop = seen.add, stack.append, stack.pop
-    while stack:
-        qt, qf, qr = pop()
-        if qt in t_accepting and qf in f_accepting \
-                and r.walk(qr, final_output.get(qt, "")) not in r_accepting:
             return False
-        for sym in alphabet:
-            tr = t_get((qt, sym))
-            if tr is None:
-                continue
-            qf2 = f_get((qf, sym))
-            if qf2 is None:
-                continue
-            out, qt2 = tr
-            qr2 = qr
-            for c in out:
-                qr2 = r_get((qr2, c))  # (None, c) is no key: dead stays dead
-            triple = (qt2, qf2, qr2)
-            if triple not in seen:
-                see(triple)
-                push(triple)
     return True
 
 
@@ -260,7 +217,7 @@ def _dispatch_onto(f: Dfa, witness: HardnessWitness, letters, r: Dfa) -> tuple[D
     walks (a) and (b) prove them equal, else what `cover_gap` finds."""
     plan = plan_cover(witness, letters)
     t = _restrict(_build_dispatch(plan, f.alphabet), r)
-    if _image_within(t, f, r) and _inverse_reaches(t, f, r, plan):
+    if _image_within(t, r) and _inverse_reaches(t, f, r, plan):
         return t, None
     gap = cover_gap(t, f, r)
     return t, None if gap is None else gap[0]
@@ -288,9 +245,9 @@ def cover(f: Dfa, r: Dfa) -> Dfst:
 
     Before it is returned, its image over L(f) is proved equal to L(r) by
     a pass over its transitions and a walk over the trie's right inverse
-    (see the module docstring). Only when one of them fails does the exact
-    check `cover_gap` run; a gap it finds raises `CertificateError` naming
-    the word, and none returns the transducer.
+    (see the module docstring). Only when one of them does not prove its
+    half does the exact check `cover_gap` run; a gap it finds raises
+    `CertificateError` naming the word, and none returns the transducer.
     """
     verdict = classify(f)
     if not isinstance(verdict, Hard):

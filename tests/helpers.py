@@ -1169,10 +1169,13 @@ def oracle_dfst_to_text(t: Dfst) -> str:
 
 
 def oracle_image_within(t: Dfst, f: Dfa, r: Dfa) -> bool:
-    """`cover._image_within` before its lookups were cut: (a) image(t over f) ⊆ L(r). Walks the reachable triples of t, f and r
-    states, r following t's output; a missing r transition is a dead,
-    rejecting state (None), which is kept, not pruned. False when some
-    triple has t and f accepting while r rejects after the final output."""
+    """(a) image(t over f) ⊆ L(r), decided exactly: the exact oracle for
+    the soundness of `cover._image_within`'s pass, which may say False
+    where this says True but never True where this says False. Walks the
+    reachable triples of t, f and r states, r following t's output; a
+    missing r transition is a dead, rejecting state (None), which is
+    kept, not pruned. False when some triple has t and f accepting while
+    r rejects after the final output."""
     t_trans, f_trans, r_trans = t.transitions, f.transitions, r.transitions
     t_accepting, f_accepting = t.accepting, f.accepting
     start = (t.initial, f.initial, r.initial)

@@ -2,24 +2,28 @@
 pass over its transitions, and walk (b) walks each code through the
 filter once per filter state.
 
-The pass gives each transducer state its one target state. Only a
-machine it cannot settle goes to the kept triple walk,
-`cover._triples_within`, and then `_image_within` must still say what
-the triple walk said before (`oracle_image_within`). Walk (b) must say
-what the loop that walked every code at every reached state said
-(`oracle_inverse_reaches`), also when the walk meets several filter
-states."""
+The pass gives each transducer state its one target state. It is
+sufficient, not necessary: on a machine it cannot settle it says False,
+never True where the image leaves the target (`oracle_image_within`),
+and the one exact check, `cover_gap`, decides that machine as
+`oracle_cover_gap` does. Walk (b) must say what the loop that walked
+every code at every reached state said (`oracle_inverse_reaches`), also
+when the walk meets several filter states."""
 
 import importlib
 import random
 
 import pytest
 
+import helpers
 from helpers import (
     count_calls,
     identity_transducer,
+    oracle_cover,
+    oracle_cover_gap,
     oracle_image_within,
     oracle_inverse_reaches,
+    outcome,
     planted_hard_filter,
     random_dfa,
 )
@@ -32,6 +36,7 @@ from rrkit import (
     classify,
     compose_dfst,
     cover,
+    cover_gap,
     determinize,
     plan_cover,
     regex_to_nfa,
@@ -56,7 +61,7 @@ def test_covers_and_surjections_need_no_triple_walk(monkeypatch):
     targets = [C_THEN_ANY, determinize(regex_to_nfa("(ab)*c")),
                determinize(regex_to_nfa("(a|c)*b")), universal_dfa(("a", "b", "c"))]
     assert len(C_THEN_ANY.transitions) < len(C_THEN_ANY.states) * len(C_THEN_ANY.alphabet)
-    calls = count_calls(monkeypatch, ("_triples_within", *EXACT))
+    calls = count_calls(monkeypatch, EXACT)
     rng = random.Random(503)
     built = 0
     for n in (8, 40, 120):
@@ -70,7 +75,7 @@ def test_covers_and_surjections_need_no_triple_walk(monkeypatch):
             built += 1
     surjection_to_star(SIGMA_STAR, classify(SIGMA_STAR).witness, ("a", "b", "c"))
     assert built == 18
-    assert calls == {"_triples_within": 0, "image_nfa": 0, "separating_word": 0}
+    assert calls == {"image_nfa": 0, "separating_word": 0}
 
 
 def relabelled_cover():
@@ -117,14 +122,25 @@ def accepting_where_both_accept():
         SIGMA_STAR, AB_STAR, False
 
 
-@pytest.mark.parametrize("case", [relabelled_cover, descending_sources, two_target_states,
-                                  accepting_where_the_filter_rejects,
-                                  accepting_where_both_accept], ids=lambda case: case.__name__)
-def test_unsettled_machines_go_to_the_triple_walk(case, monkeypatch):
+HAND_OVERS = [relabelled_cover, descending_sources, two_target_states,
+              accepting_where_the_filter_rejects, accepting_where_both_accept]
+
+
+@pytest.mark.parametrize("case", HAND_OVERS, ids=lambda case: case.__name__)
+def test_unsettled_machines_go_to_cover_gap(case, monkeypatch):
+    """The pass says False; `cover_gap`, the one exact check, names the
+    oracle's word. Where the filter is hard, `cover` given the machine by
+    `_restrict` ends as `oracle_cover` given it as the composition does."""
     t, f, r, within = case()
-    calls = count_calls(monkeypatch, ("_triples_within",))
-    assert cover_module._image_within(t, f, r) is oracle_image_within(t, f, r) is within
-    assert calls["_triples_within"] >= 1
+    assert cover_module._image_within(t, r) is False
+    assert oracle_image_within(t, f, r) is within
+    gap = cover_gap(t, f, r)
+    assert gap == oracle_cover_gap(t, f, r)
+    assert (gap is None) is within
+    if isinstance(classify(f), Hard):  # all but the copy machine over (ab)*
+        monkeypatch.setattr(cover_module, "_restrict", lambda trie, r: t)
+        monkeypatch.setattr(helpers, "compose_dfst", lambda first, second: t)
+        assert outcome(cover, f, r) == outcome(oracle_cover, f, r)
 
 
 # ---------------------------------------------------------------------------

@@ -2,11 +2,12 @@
 its image proof is one pass over its transitions.
 
 `dfst_to_text` writes a machine whose numbering is already the
-breadth-first one in one pass and renumbers any other machine first;
-`cover._image_within` settles a cover in one ordered pass over its
-transitions and hands any machine that pass cannot settle to the walk
-over reachable triples. Both must agree with the versions they replaced,
-kept in `helpers`, on every input."""
+breadth-first one in one pass and renumbers any other machine first; it
+must agree with the writer it replaced, kept in `helpers`, on every
+input. `cover._image_within` settles a cover in one ordered pass over
+its transitions and says False on any machine that pass cannot settle,
+which `cover_gap` then decides; it must never say True where the walk
+over reachable triples it replaced (`oracle_image_within`) says False."""
 
 import importlib
 import random
@@ -15,6 +16,7 @@ import pytest
 
 from helpers import (
     identity_transducer,
+    oracle_cover_gap,
     oracle_dfst_to_text,
     oracle_image_within,
     random_dfa,
@@ -241,20 +243,26 @@ def _triples(rng):
 def test_walk_matches_oracle():
     verdicts = []
     for t, f, r in _triples(random.Random(439)):
-        verdict = cover_module._image_within(t, f, r)
-        assert verdict is oracle_image_within(t, f, r)
+        verdict = cover_module._image_within(t, r), oracle_image_within(t, f, r)
+        assert verdict != (True, False)
         verdicts.append(verdict)
     assert len(verdicts) >= 200
-    assert 40 <= sum(verdicts) <= len(verdicts) - 40
+    assert 40 <= sum(oracle for _, oracle in verdicts) <= len(verdicts) - 40
+    assert sum(walk for walk, _ in verdicts) >= 40
 
 
 @pytest.mark.parametrize("name", MUTANTS)
 def test_walk_matches_oracle_on_mutants(name):
-    mutate, f, target, within, _, _ = MUTANTS[name]
+    """The pass never proves a mutant whose image leaves the target, and
+    `cover_gap`, which decides every mutant, names the oracle's word."""
+    mutate, f, target, within, _, word = MUTANTS[name]
     plan = plan_cover(classify(f).witness, target.alphabet)
     trie = cover_module._build_dispatch(plan, f.alphabet)
     for t in (compose_dfst(trie, identity_transducer(target)),
               cover_module._restrict(trie, target)):
         mutant = mutate(t, plan)
-        assert cover_module._image_within(mutant, f, target) is within
+        assert within or not cover_module._image_within(mutant, target)
         assert oracle_image_within(mutant, f, target) is within
+        gap = cover_module.cover_gap(mutant, f, target)
+        assert gap == oracle_cover_gap(mutant, f, target)
+        assert gap[0] == word
