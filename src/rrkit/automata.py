@@ -9,11 +9,15 @@ number shows only where it is printed, so only serialization (`*_to_text`,
 through `canonical_dfa` and `canonical_nfa`) and `trim` (whose numbers the
 HARD certificate's `q=` names) renumber, in canonical BFS discovery order;
 that makes the output byte-stable. `trim` and `canonical_dfa` share one
-numbering pass, `_numbered`. The machine parsers read a plain text, such
-as the writers' output, in bulk (`_bulk`: one split of the body, its
-tokens taken four at a time) and any other text line by line, with one
-line parser for both kinds (`_parse_lines`); both give the same machine,
-and only the line parser raises on a faulty body line.
+numbering pass, `_numbered`. It gives the kept states as int rows, one per
+symbol, which `classify` reads as they are and `_rows_dfa` writes as a
+machine. `condense` wraps Tarjan's search over successor lists,
+`_components`, whose indices `classify` reads the same way. The machine
+parsers read a plain text, such as the writers' output, in bulk (`_bulk`:
+one split of the body, its tokens taken four at a time) and any other text
+line by line, with one line parser for both kinds (`_parse_lines`); both
+give the same machine, and only the line parser raises on a faulty body
+line.
 
 Inclusion, equivalence and intersection are decided without building a
 product: `_pair_search` walks pairs of side states breadth-first, in
@@ -42,7 +46,7 @@ import math
 import sys
 from collections import deque
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, compress, islice, product
 
 
 class FormatError(ValueError):
@@ -412,7 +416,9 @@ def canonical_dfa(d: Dfa) -> Dfa:
     Transitions come out by source, then in alphabet order. This is
     `trim`'s numbering pass with every state live."""
     initial, accepting, transitions, _ = _dense(d)
-    return _numbered(d.alphabet, initial, accepting, transitions, [True] * len(d.states))
+    rows, flags, _, _ = _numbered(d.alphabet, initial, accepting, transitions,
+                                  [True] * len(d.states))
+    return _rows_dfa(d.alphabet, rows, flags)
 
 
 def canonical_nfa(n: Nfa) -> Nfa:
@@ -598,13 +604,22 @@ def trim(d: Dfa) -> Dfa:
     """Keep exactly the states both reachable from the initial state and
     co-reachable to an accepting one, renumbered canonically (certificates
     name them); an empty language collapses to the canonical one-state
-    machine.
+    machine. The trim engine `_trim_rows` computes the trimmed machine's
+    rows, and this writes them as a machine (`_rows_dfa`)."""
+    rows, accepting, _, _ = _trim_rows(d)
+    return _rows_dfa(d.alphabet, rows, accepting)
+
+
+def _trim_rows(d: Dfa):
+    """The trimmed machine of d as `_numbered` gives it, (rows, accepting,
+    parent, via), over the canonical ids 0..m-1 that `trim` numbers its
+    states by.
 
     On int lists over `_dense` ids, one backward pass from the accepting
     states marks the live states, and `_numbered` numbers them. Every
     state on a path to a live state is live itself, so that pass meets the
     kept states in `canonical_dfa`'s order, and the input's own numbering
-    never shows."""
+    never shows. An empty language gives one state with no edge."""
     initial, accepting, transitions, _ = _dense(d)
     n = len(d.states)
     back: list[list[int]] = [[] for _ in range(n)]
@@ -620,32 +635,66 @@ def trim(d: Dfa) -> Dfa:
                 live[q] = True
                 stack.append(q)
     if not live[initial]:
-        return empty_dfa(d.alphabet)
+        return [[-1, -1] for _ in d.alphabet], [False, False], [-1], [""]
     return _numbered(d.alphabet, initial, accepting, transitions, live)
 
 
-def _numbered(alphabet, initial, accepting, transitions, live) -> Dfa:
+def _numbered(alphabet, initial, accepting, transitions, live):
     """A machine over `_dense` ids cut down to the live states that one
     breadth-first pass from the initial state meets, reading symbols in
-    alphabet order and entering live states only. The pass numbers each
-    state as it meets it and writes the kept transitions as it goes: by
-    source, then in alphabet order."""
-    get = transitions.get
-    order = [-1] * len(live)  # a live state's number, once the pass has met it
+    alphabet order and entering live states only, as int rows over the
+    ids 0..m-1 the pass gives the states as it meets them:
+    (rows, accepting, parent, via).
+
+    `rows[k][i]` is the id that id i enters on `alphabet[k]`, -1 for no
+    edge, and each row ends in a dead slot, so `rows[k][-1] == -1` as a
+    pair search's side wants (`_side`). `accepting[i]` says whether id i
+    accepts, and its dead slot is False. `parent[i]` and `via[i]` are the
+    id and the symbol of the edge on which the pass first met i (-1 and
+    "" for the initial id 0): that tree spells each state's shortest,
+    alphabet-first word from the initial state."""
+    column = {sym: k for k, sym in enumerate(alphabet)}
+    ahead = [[-1] * len(live) for _ in alphabet]  # the input's rows, over `_dense` ids
+    for (q, sym), t in transitions.items():
+        if live[t]:
+            ahead[column[sym]][q] = t
+    order = [-1] * len(live)  # a live state's id, once the pass has met it
     order[initial] = 0
     queue = [initial]
-    kept: dict[tuple[int, str], int] = {}
+    parent, via = [-1], [""]
+    rows: list[list[int]] = [[] for _ in alphabet]
+    steps = tuple(zip(alphabet, ahead, [row.append for row in rows]))
     for i, q in enumerate(queue):  # the queue grows as the pass goes
-        for sym in alphabet:
-            t = get((q, sym))
-            if t is not None and live[t]:
-                j = order[t]
-                if j < 0:
-                    j = order[t] = len(queue)
-                    queue.append(t)
-                kept[i, sym] = j
-    return Dfa(alphabet, frozenset(range(len(queue))), 0,
-               frozenset(order[q] for q in accepting if order[q] >= 0), kept)
+        for sym, row, add in steps:
+            t = row[q]
+            if t < 0:
+                add(-1)
+                continue
+            j = order[t]
+            if j < 0:
+                j = order[t] = len(queue)
+                queue.append(t)
+                parent.append(i)
+                via.append(sym)
+            add(j)
+    for row in rows:
+        row.append(-1)
+    flags = [False] * (len(queue) + 1)
+    for q in accepting:
+        if order[q] >= 0:
+            flags[order[q]] = True
+    return rows, flags, parent, via
+
+
+def _rows_dfa(alphabet, rows, accepting) -> Dfa:
+    """The machine of `_numbered`'s rows and accepting flags: states
+    0..m-1, initial 0, transitions by source, then in alphabet order."""
+    m = len(accepting) - 1
+    # each id's successors in alphabet order, the dead slot's last and cut off
+    transitions = {edge: j for edge, j in zip(product(range(m), alphabet),
+                                              chain.from_iterable(zip(*rows))) if j >= 0}
+    return Dfa(alphabet, frozenset(range(m)), 0, frozenset(compress(range(m), accepting)),
+               transitions)
 
 
 def product_intersect(a: Nfa, b: Nfa) -> Nfa:
@@ -1062,24 +1111,31 @@ class Condensation:
 
 
 def condense(d: Dfa) -> Condensation:
-    """Tarjan's search on int lists over `_dense` ids, mapped back to d's
-    states at the end."""
+    """The SCCs of d's transition graph: the condense engine `_components`
+    on successor lists over `_dense` ids, mapped back to d's states at the
+    end (`_condensation`)."""
     _, _, transitions, names = _dense(d)
-    n = len(names)
-    succ: list[list[int]] = [[] for _ in range(n)]
-    looped = [False] * n  # a self-loop makes a one-state component nontrivial
+    succ: list[list[int]] = [[] for _ in names]
     for (q, _), t in transitions.items():
         succ[q].append(t)
-        if q == t:
-            looped[q] = True
+    return _condensation(succ, _components(succ), names)
 
+
+def _components(succ) -> list[int]:
+    """Tarjan's search over the successor lists of the ids 0..n-1: `comp[q]`
+    is the index of q's component, the components numbered in the order
+    the search finishes them, and `comp[-1]` is -1. An entry -1 in a list
+    is no edge, so the states' tuples of `_numbered`'s rows can be given
+    as they are: the search reads -1 as a finished state."""
+    n = len(succ)
     # index[q] is 0 until q is visited; a visited q is on the stack until
-    # its component is done
-    index = [0] * n
+    # its component is done; the slot past the ids is the finished -1
+    index = [0] * n + [1]
     low = [0] * n
-    done = [False] * n
+    done = [False] * n + [True]
+    comp = [-1] * (n + 1)
     stack: list[int] = []
-    components: list[list[int]] = []
+    count = 0
     counter = 1
     for root in range(n):
         if index[root]:
@@ -1102,23 +1158,30 @@ def condense(d: Dfa) -> Condensation:
             else:
                 work.pop()
                 if low[q] == index[q]:
-                    members = []
                     while True:
                         t = stack.pop()
                         done[t] = True
-                        members.append(t)
+                        comp[t] = count
                         if t == q:
                             break
-                    components.append(members)
+                    count += 1
                 if work:
                     p = work[-1][0]
                     if low[q] < low[p]:
                         low[p] = low[q]
+    return comp
 
-    # ids ascend with the state numbers, so the smallest id stands for the
-    # smallest member
-    components.sort(key=min)
+
+def _condensation(succ, comp, names) -> Condensation:
+    """The Condensation of `_components`' indices for the successor lists
+    `succ`, id q standing for the state `names[q]`: components renumbered
+    by their smallest id, which stands for their smallest member state."""
+    members: list[list[int]] = [[] for _ in range(max(comp) + 1)]
+    for q in range(len(succ)):
+        members[comp[q]].append(q)  # ascending, so each list starts with its smallest id
+    members.sort()
     return Condensation(
-        {names[q]: i for i, members in enumerate(components) for q in members},
-        tuple(frozenset(names[q] for q in members) for members in components),
-        tuple(len(members) > 1 or looped[members[0]] for members in components))
+        {names[q]: i for i, ids in enumerate(members) for q in ids},
+        tuple(frozenset(names[q] for q in ids) for ids in members),
+        # a self-loop makes a one-state component nontrivial
+        tuple(len(ids) > 1 or ids[0] in succ[ids[0]] for ids in members))

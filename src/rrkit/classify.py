@@ -29,16 +29,23 @@ v. v cannot commute with u (two commuting cycles are powers of one root),
 so (u v, v u) is an equal-length, prefix-incomparable pair witnessing
 hardness. Easy machines make no inclusion check at all.
 
-Both cycle searches run on the trimmed machine itself, started and
-accepted at q, with no copy of q's component. That is exact: a word that
-leaves q's component never returns to q, so the words looping at q, and
-their shortest, alphabet-first member, are the same with or without the
-component's boundary.
+The classifier reads the trimmed machine as the trim and condense engines
+give it (`automata._trim_rows`, `automata._components`): per-symbol rows of
+int ids, the numbering pass's breadth-first tree, and component indices.
+A hard verdict builds no machine but x*'s. The access word is read off the
+tree; one breadth-first search over the rows from q gives u and the exit
+word; the inclusion check hands the pair search the rows themselves,
+started and accepted at q; and the replay walks the rows. Both cycle
+searches run on the whole trimmed machine, with no copy of q's component.
+That is exact: a word that leaves q's component never returns to q, so the
+words looping at q, and their shortest, alphabet-first member, are the
+same with or without the component's boundary. Only an easy verdict writes
+the rows as a trimmed `Dfa` and the indices as a `Condensation`, for the
+decomposition and its check.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from itertools import chain
 
@@ -52,10 +59,15 @@ from .automata import (
     _check_symbol,
     _is_number,
     _logical_lines,
-    condense,
+    _components,
+    _condensation,
+    _LEFT,
+    _rows_dfa,
+    _search,
+    _side,
+    _trim_rows,
     inclusion_counterexample,
     separating_word,
-    trim,
     word_from_text,
     word_to_text,
 )
@@ -135,25 +147,6 @@ def normalize_witness(u0: str, v0: str) -> tuple[str, str]:
 # hardness detection
 
 
-def _shortest_word(d: Dfa, start: int, goals) -> str | None:
-    """Shortest nonempty word leading from `start` into `goals`, first in
-    alphabet order; None when there is none."""
-    seen = {start}
-    queue = deque([(start, "")])
-    while queue:
-        q, word = queue.popleft()
-        for sym in d.alphabet:
-            t = d.transitions.get((q, sym))
-            if t is None:
-                continue
-            if t in goals:
-                return word + sym
-            if t not in seen:
-                seen.add(t)
-                queue.append((t, word + sym))
-    return None
-
-
 def _power_dfa(x: str, alphabet) -> Dfa:
     """Machine for x*: a cycle of |x| states reading x."""
     n = len(x)
@@ -161,63 +154,120 @@ def _power_dfa(x: str, alphabet) -> Dfa:
     return Dfa(tuple(alphabet), frozenset(range(n)), 0, frozenset({0}), transitions)
 
 
-def _inner_successors(d: Dfa, q: int, scc_of) -> list[tuple[str, int]]:
-    """Edges out of q that stay inside q's component, in alphabet order."""
-    return [
-        (sym, t)
-        for sym in d.alphabet
-        if (t := d.transitions.get((q, sym))) is not None and scc_of[t] == scc_of[q]
-    ]
+def _pivot(succ, comp) -> int:
+    """The smallest state of a branching component, or -1 when every
+    nontrivial component is a ring: `succ` are the trimmed machine's
+    per-state successor tuples (-1 for no edge) and `comp` their
+    `_components` indices. A component branches when one of its states
+    has two edges inside it (a ring's states have one each, a trivial
+    component's none)."""
+    branching = [False] * (max(comp) + 2)  # and a last slot, read for comp[-1] == -1
+    for q, ts in enumerate(succ):
+        c = comp[q]
+        if not branching[c]:
+            inner = 0
+            for t in ts:
+                if comp[t] == c:
+                    inner += 1
+            if inner > 1:
+                branching[c] = True
+    for q, c in enumerate(comp):
+        if branching[c]:
+            return q
+    return -1
 
 
-def _find_witness(ft: Dfa, cond: Condensation) -> HardnessWitness | None:
-    """Witness at the smallest state q of a branching component of the
-    trimmed machine `ft` (condensed as `cond`), or None when every
-    nontrivial component is a ring. u0 is the shortest cycle at q; v0, the
-    shortest cycle at q outside primitive_root(u0)*, comes from one
-    inclusion check against `ft` started and accepted at q. The access and
-    exit words are shortest words into q and into acceptance."""
-    # components are numbered by their smallest state, so the first
-    # branching one holds the smallest state of any branching component
-    for comp_idx, component in enumerate(cond.components):
-        if cond.nontrivial[comp_idx] and any(
-                len(_inner_successors(ft, p, cond.scc_of)) != 1 for p in component):
-            break
-    else:
-        return None
-    q = min(component)
-    u0 = _shortest_word(ft, q, {q})
+def _tree_word(parent, via, i: int, root: int) -> str:
+    """The word that a search tree's links spell from `root` to i:
+    `parent[j]` and `via[j]` are the id and the symbol of the edge on which
+    the search first met j."""
+    word = []
+    while i != root:
+        word.append(via[i])
+        i = parent[i]
+    return "".join(reversed(word))
+
+
+def _from_pivot(alphabet, rows, accepting, q) -> tuple[str, str]:
+    """The shortest cycle at q and the shortest word from q to acceptance
+    ("" when q accepts), each first in alphabet order: one breadth-first
+    search over the rows from q, which stops once it has met both. The
+    first edge the search reads into q closes the cycle, and the first into
+    an accepting state ends the exit word (q's own acceptance aside, an
+    accepting state is first entered by the edge that discovers it)."""
+    steps = tuple(zip(alphabet, rows))
+    parent = [-1] * len(accepting)  # -1 until the search meets an id
+    via = [""] * len(accepting)
+    parent[q] = q
+    cycle = None
+    exit_word = "" if accepting[q] else None
+    queue = [q]
+    for p in queue:  # the queue grows as the search goes
+        for sym, row in steps:
+            t = row[p]
+            if t < 0:
+                continue
+            if t == q and cycle is None:
+                cycle = _tree_word(parent, via, p, q) + sym
+            elif exit_word is None and accepting[t]:
+                exit_word = _tree_word(parent, via, p, q) + sym
+            if cycle is not None and exit_word is not None:
+                return cycle, exit_word
+            if parent[t] < 0:
+                parent[t] = p
+                via[t] = sym
+                queue.append(t)
+    raise CertificateError(f"witness state {q} has no cycle or is not live")
+
+
+def _find_witness(alphabet, rows, accepting, parent, via, q) -> HardnessWitness:
+    """Witness at the pivot q of the trimmed machine given as `_trim_rows`
+    gives it. u0 is the shortest cycle at q; v0, the shortest cycle at q
+    outside primitive_root(u0)*, comes from one pair search of the rows,
+    started and accepted at q, against x*'s machine. The access word is
+    read off the numbering pass's tree, and the exit word is a shortest
+    word into acceptance."""
+    u0, exit_word = _from_pivot(alphabet, rows, accepting, q)
     x = primitive_root(u0)
-    v0 = inclusion_counterexample(_power_dfa(x, ft.alphabet),
-                                  Dfa(ft.alphabet, ft.states, q, frozenset({q}), ft.transitions))
+    at_q = (q, rows, None, {q}, len(accepting))  # complete rows ask no miss
+    v0 = _search(at_q, _side(_power_dfa(x, alphabet), alphabet), alphabet, _LEFT)[0]
     if v0 is None:
         raise CertificateError(f"branching component at state {q} has no cycle outside {x}*")
     cycle_a, cycle_b = normalize_witness(u0, v0)
-    access = "" if ft.initial == q else _shortest_word(ft, ft.initial, {q})
-    exit_word = "" if q in ft.accepting else _shortest_word(ft, q, ft.accepting)
-    if access is None or exit_word is None:
-        raise CertificateError(f"witness state {q} is not live in the trimmed filter")
+    access = _tree_word(parent, via, q, 0)
     return HardnessWitness(q, access, cycle_a, cycle_b, exit_word)
 
 
 def verify_witness(f: Dfa, w: HardnessWitness) -> None:
     """Replay a witness against trim(f); raises CertificateError if any
     invariant fails."""
-    _replay_witness(trim(f), w)
+    rows, accepting, _, _ = _trim_rows(f)
+    _replay_witness(f.alphabet, rows, accepting, w)
 
 
-def _replay_witness(ft: Dfa, w: HardnessWitness) -> None:
-    """verify_witness on an already trimmed machine."""
-    if w.state not in ft.states:
+def _replay_witness(alphabet, rows, accepting, w: HardnessWitness) -> None:
+    """verify_witness on the trimmed machine's rows and accepting flags."""
+    if w.state not in range(len(accepting) - 1):
         raise CertificateError(f"witness state {w.state} is not a state of the trimmed filter")
-    if ft.walk(ft.initial, w.access) != w.state:
+    column = dict(zip(alphabet, rows))
+
+    def walk(q: int, word: str) -> int:
+        """The id word leads q to, -1 once stuck: a row's dead slot keeps
+        -1 dead, and a letter outside the alphabet has no row."""
+        for c in word:
+            row = column.get(c)
+            if row is None:
+                return -1
+            q = row[q]
+        return q
+
+    if walk(0, w.access) != w.state:
         raise CertificateError("access word does not reach the witness state")
-    if ft.walk(w.state, w.cycle_a) != w.state:
+    if walk(w.state, w.cycle_a) != w.state:
         raise CertificateError("first cycle word does not loop at the witness state")
-    if ft.walk(w.state, w.cycle_b) != w.state:
+    if walk(w.state, w.cycle_b) != w.state:
         raise CertificateError("second cycle word does not loop at the witness state")
-    end = ft.walk(w.state, w.exit_word)
-    if end is None or end not in ft.accepting:
+    if not accepting[walk(w.state, w.exit_word)]:
         raise CertificateError("exit word does not reach an accepting state")
     if w.cycle_a.startswith(w.cycle_b) or w.cycle_b.startswith(w.cycle_a):
         raise CertificateError("cycle words must be prefix-incomparable")
@@ -546,12 +596,18 @@ def verify_easy(f: Dfa, decomposition, envelope) -> None:
 def classify(f: Dfa) -> Classification:
     """Hard with a verified witness, or Easy with a verified decomposition
     and envelope. The empty language is easy with an empty certificate."""
-    ft = trim(f)
-    cond = condense(ft)
-    witness = _find_witness(ft, cond)
-    if witness is not None:
-        _replay_witness(ft, witness)
+    alphabet = f.alphabet
+    rows, accepting, parent, via = _trim_rows(f)
+    m = len(parent)
+    succ = list(zip(*rows))[:m] if rows else [()] * m  # each id's successors
+    comp = _components(succ)
+    q = _pivot(succ, comp)
+    if q >= 0:
+        witness = _find_witness(alphabet, rows, accepting, parent, via, q)
+        _replay_witness(alphabet, rows, accepting, witness)
         return Hard(witness)
+    ft = _rows_dfa(alphabet, rows, accepting)
+    cond = _condensation(succ, comp, range(m))
     exprs = _easy_exprs(ft, cond)
     envelope_words = _envelope_of(exprs)
     verify_easy(ft, exprs, envelope_words)

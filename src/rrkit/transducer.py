@@ -126,7 +126,12 @@ def _restrict(t: Dfst, m: Dfa | Dfst) -> Dfst:
 
     t's states count as the ids 0..T-1 that `automata._ranks` gives them:
     their own numbers when they are 0..T-1 already, as in every dispatch
-    trie, otherwise their ranks. A pair is keyed by the int qm * T + qt."""
+    trie, otherwise their ranks. A pair is keyed by the int qm * T + qt.
+    A t state other than the initial one that has one incoming edge, and
+    that edge writes nothing, is entered only from the pair being expanded,
+    with m's state unchanged; the pass expands each pair once, so that pair
+    is new and is numbered without a key (nearly every pair of a dispatch
+    trie is such a pair)."""
     rank = _ranks(t.states)
     if rank is not None:
         t = Dfst(t.in_alphabet, t.out_alphabet, frozenset(rank.values()), rank[t.initial],
@@ -139,7 +144,13 @@ def _restrict(t: Dfst, m: Dfa | Dfst) -> Dfst:
     alphabet = t.in_alphabet
     size = len(t.states)
     t_get = t.transitions.get
-    edges = [[(sym, *edge) for sym in alphabet if (edge := t_get((qt, sym)))]
+    entries = [0] * size  # each state's incoming edges, and the start for the initial one
+    for _, qt in t.transitions.values():
+        entries[qt] += 1
+    entries[t.initial] += 1
+    # each edge as (symbol, output, target, whether the pair it enters is new)
+    edges = [[(sym, *edge, not edge[0] and entries[edge[1]] == 1) for sym in alphabet
+              if (edge := t_get((qt, sym)))]
              for qt in range(size)]
     t_accepting, m_accepting, t_final = t.accepting, m.accepting, t.final_output
     ids = {m.initial * size + t.initial: 0}
@@ -159,7 +170,12 @@ def _restrict(t: Dfst, m: Dfa | Dfst) -> Dfst:
                 accepting.append(i)
                 if tail:
                     final_output[i] = tail
-        for sym, out, qt2 in edges[qt]:
+        for sym, out, qt2, once in edges[qt]:
+            if once:
+                transitions[i, sym] = ("", len(t_states))
+                t_states.append(qt2)
+                m_states.append(qm)
+                continue
             if out:
                 qm2 = walk(qm, out)
                 if qm2 is None:

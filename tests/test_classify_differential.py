@@ -35,6 +35,7 @@ from rrkit import (
     AlphabetError,
     BoundedExpr,
     CertificateError,
+    Dfa,
     Easy,
     Hard,
     bounded_nfa,
@@ -50,7 +51,8 @@ from rrkit import (
     universal_dfa,
     verify_easy,
 )
-from rrkit.classify import _envelope_of, _forced_ring, _shortest_word
+from rrkit.automata import _components, _trim_rows
+from rrkit.classify import _envelope_of, _forced_ring, _from_pivot
 from rrkit.cli import main
 
 # the package re-exports the function `classify` under the module's name
@@ -533,13 +535,20 @@ class TestEasyPathCallCounts:
         assert isinstance(verdict, Easy) and len(verdict.decomposition) == 256
         assert calls == {"inclusion": 0, "determinize": 0}
 
-    def test_sigma_star_makes_one_check(self, calls):
+    # the one check is a pair search over the trimmed machine's rows,
+    # handed to `_search` with no `inclusion_counterexample` around it
+    def test_sigma_star_makes_one_check(self, calls, monkeypatch):
+        searches = count_calls(monkeypatch, ["_search"])
         assert isinstance(classify(SIGMA_STAR), Hard)
-        assert calls["inclusion"] == 1
+        assert searches == {"_search": 1}
+        assert calls == {"inclusion": 0, "determinize": 0}
 
-    def test_planted_hard_makes_one_check(self, calls):
-        assert isinstance(classify(planted_hard_filter(random.Random(113), 200)), Hard)
-        assert calls["inclusion"] == 1
+    def test_planted_hard_makes_one_check(self, calls, monkeypatch):
+        f = planted_hard_filter(random.Random(113), 200)
+        searches = count_calls(monkeypatch, ["_search"])
+        assert isinstance(classify(f), Hard)
+        assert searches == {"_search": 1}
+        assert calls == {"inclusion": 0, "determinize": 0}
 
     # a(ba)*: its expression's factors `a`, `ba` do not embed into these
     # envelopes, so the inclusion is decided exactly
@@ -561,23 +570,13 @@ class TestEasyPathCallCounts:
 
 
 class TestClassifyBuildsOnce:
-    """One trim and one condensation per classify, hard or easy."""
+    """One trim pass and one condense pass per classify, hard or easy,
+    counted on the engines that `trim` and `condense` wrap: an easy verdict
+    builds its trimmed machine and condensation from the same rows."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        counts = {"trim": 0, "condense": 0}
-
-        def counting(name, fn):
-            def wrapper(*args, **kwargs):
-                counts[name] += 1
-                return fn(*args, **kwargs)
-            return wrapper
-
-        for name in counts:
-            for module in (classify_module, automata_module):
-                if hasattr(module, name):
-                    monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
-        return counts
+        return count_calls(monkeypatch, ["_trim_rows", "_components"])
 
     @pytest.mark.parametrize("make, kind", [
         (lambda: SIGMA_STAR, Hard),
@@ -589,19 +588,36 @@ class TestClassifyBuildsOnce:
     def test_one_trim_and_one_condense(self, calls, make, kind):
         f = make()
         assert isinstance(classify(f), kind)
-        assert calls == {"trim": 1, "condense": 1}
+        assert calls == {"_trim_rows": 1, "_components": 1}
+
+    def test_hard_verdict_builds_only_the_power_machine(self, monkeypatch):
+        """A hard verdict is read off the rows: no trimmed Dfa, no copy of
+        it started at the pivot; the one Dfa built is x*'s machine."""
+        f = planted_hard_filter(random.Random(173), 200)
+        built = []
+        post_init = Dfa.__post_init__
+
+        def counting(self):
+            built.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(Dfa, "__post_init__", counting)
+        assert isinstance(classify(f), Hard)
+        assert len(built) == 1
+        power = built[0]  # one cycle through its states, accepting at its start
+        assert power.accepting == {0} and len(power.transitions) == len(power.states) < 200
 
 
 class TestHardPathWalksDfas:
-    """The witness check compares two Dfas, so a hard `classify` and a
-    `cover` step no subsets."""
+    """The witness check is one pair search of two Dfa sides, so a hard
+    `classify` and a proved `cover` make one search and step no subsets."""
 
     HARD_TEXT = dfa_to_text(planted_hard_filter(random.Random(181), 150))
     TARGET_TEXT = "dfa\nalphabet a b c\nstates 0 1\ninitial 0\naccept 0\ntrans 0 a 1\ntrans 1 c 0\n"
 
     @pytest.mark.parametrize("command", ["classify", "cover"])
     def test_no_subset_steps(self, command, monkeypatch, tmp_path, capsys):
-        calls = count_calls(monkeypatch, ["_subset_step", "inclusion_counterexample"])
+        calls = count_calls(monkeypatch, ["_subset_step", "_search"])
         (tmp_path / "f.txt").write_text(self.HARD_TEXT)
         (tmp_path / "r.txt").write_text(self.TARGET_TEXT)
         argv = [command, str(tmp_path / "f.txt")]
@@ -609,7 +625,7 @@ class TestHardPathWalksDfas:
             argv.append(str(tmp_path / "r.txt"))
         assert main(argv) == 0
         assert capsys.readouterr().out.startswith("HARD" if command == "classify" else "dfst")
-        assert calls == {"_subset_step": 0, "inclusion_counterexample": 1}
+        assert calls == {"_subset_step": 0, "_search": 1}
 
 
 class TestNoLibraryAsserts:
@@ -619,10 +635,16 @@ class TestNoLibraryAsserts:
             _forced_ring(SIGMA_STAR, 0, cond.scc_of)
 
     def test_shortest_word_finds_no_cycle_at_acyclic_state(self):
+        # the pivot's cycle and exit search raises at a state with no cycle
         chain = parse_dfa("dfa\nalphabet a\nstates 0 1\ninitial 0\naccept 1\ntrans 0 a 1\n")
-        assert _shortest_word(chain, 0, {0}) is None
-        assert _shortest_word(chain, 1, {1}) is None
-        assert _shortest_word(chain, 0, {1}) == "a"
+        rows, accepting, _, _ = _trim_rows(chain)
+        for q in (0, 1):
+            with pytest.raises(CertificateError):
+                _from_pivot(chain.alphabet, rows, accepting, q)
+        ring = parse_dfa("dfa\nalphabet a\nstates 0 1\ninitial 0\naccept 1\n"
+                         "trans 0 a 1\ntrans 1 a 0\n")
+        rows, accepting, _, _ = _trim_rows(ring)
+        assert _from_pivot(ring.alphabet, rows, accepting, 0) == ("aa", "a")
 
     def test_no_assert_statements_in_library(self):
         root = pathlib.Path(rrkit.__file__).parent
@@ -715,3 +737,114 @@ def test_witness_matches_oracle_when_edges_leave_the_pivot_component():
         kept += 1
         assert verdict.witness == oracle_find_witness(ft)
     assert kept >= 100
+
+
+# ---------------------------------------------------------------------------
+# pivots other than state 0: the pivot is the smallest state of a branching
+# component of the trimmed machine, whatever order Tarjan's search finishes
+# the components in
+
+
+def _layered_filter(rng):
+    """A filter built from blocks in a topological order, with edges only
+    inside a block or from a block to a later one: one-state blocks that
+    are transient, carry a self-loop on one letter (a ring) or on two (a
+    branching component), rings of 2-4 states, and rings with a chord
+    (branching). Its states are then numbered at random."""
+    alphabet = ("a", "b", "c")[:rng.choice((2, 2, 3))]
+    blocks: list[list[int]] = []
+    trans: dict[tuple[int, str], int] = {}
+    count = 0
+    for _ in range(rng.randint(2, 7)):
+        kind = rng.choice(("transient", "transient", "loop1", "loop2", "ring", "chord"))
+        size = 1 if kind in ("transient", "loop1", "loop2") else rng.randint(2, 4)
+        states = list(range(count, count + size))
+        count += size
+        if kind in ("loop1", "loop2"):
+            for sym in rng.sample(alphabet, 1 if kind == "loop1" else 2):
+                trans[states[0], sym] = states[0]
+        elif kind in ("ring", "chord"):
+            for i, q in enumerate(states):
+                trans[q, rng.choice(alphabet)] = states[(i + 1) % size]
+            if kind == "chord":
+                free = [(q, sym) for q in states for sym in alphabet if (q, sym) not in trans]
+                trans[rng.choice(free)] = rng.choice(states)
+        blocks.append(states)
+    for i, states in enumerate(blocks[:-1]):
+        later = [q for block in blocks[i + 1:] for q in block]
+        free = [(q, sym) for q in states for sym in alphabet if (q, sym) not in trans]
+        rng.shuffle(free)
+        for k, (q, sym) in enumerate(free):
+            if k == 0 or rng.random() < 0.4:
+                trans[q, sym] = rng.choice(later)
+    accepting = {q for q in range(count) if rng.random() < 0.25} | {count - 1}
+    names = rng.sample(range(3 * count), count)
+    return Dfa(alphabet, frozenset(names), names[0], frozenset(names[q] for q in accepting),
+               {(names[q], sym): names[t] for (q, sym), t in trans.items()})
+
+
+def _branching_components(ft):
+    """The components of the trimmed machine ft in which some state has two
+    edges inside its component, as sets of states."""
+    cond = condense(ft)
+    inner: dict[int, int] = {}
+    for (q, _), t in ft.transitions.items():
+        if cond.scc_of[q] == cond.scc_of[t]:
+            inner[q] = inner.get(q, 0) + 1
+    return [comp for comp in cond.components if any(inner.get(q, 0) > 1 for q in comp)]
+
+
+class TestPivotNotZero:
+    def test_layered_filters_match_oracle(self):
+        rng = random.Random(257)
+        seen = dict.fromkeys(("pivot not 0", "search finishes a later pivot first",
+                              "lone self-loop", "branching self-loops", "accepting pivot",
+                              "easy"), 0)
+        for _ in range(3000):
+            f = _layered_filter(rng)
+            ft = trim(f)
+            verdict = classify(f)
+            want = oracle_find_witness(ft)
+            if want is None:
+                assert isinstance(verdict, Easy)
+                seen["easy"] += 1
+                continue
+            assert isinstance(verdict, Hard) and verdict.witness == want
+            assert classification_to_text(verdict) == oracle_classification_text(f)
+            q = want.state
+            seen["pivot not 0"] += q != 0
+            seen["accepting pivot"] += want.exit_word == ""
+            self_loops = [sum(ft.transitions.get((p, sym)) == p for sym in ft.alphabet)
+                          for p in sorted(ft.states)]
+            seen["lone self-loop"] += any(len(comp) == 1 and self_loops[min(comp)] == 1
+                                          for comp in condense(ft).components)
+            seen["branching self-loops"] += max(self_loops) > 1
+            branching = _branching_components(ft)
+            if len(branching) > 1:
+                rows, _, parent, _ = _trim_rows(ft)
+                comp = _components(list(zip(*rows))[:len(parent)])
+                first = min(branching, key=lambda states: comp[min(states)])
+                seen["search finishes a later pivot first"] += q not in first
+        assert min(seen.values()) >= 100, seen
+
+    @pytest.mark.parametrize("states, accept, trans, text", [
+        # a chain of transient states before a branching component
+        ("0 1 2 3 4", "4", "0 a 1;1 b 2;2 a 3;3 a 3;3 b 4;4 a 3",
+         "hard q=3 p=aba u=aba v=baa s=b"),
+        # the same pivot accepting: the exit word is empty
+        ("0 1 2 3 4", "3", "0 a 1;1 b 2;2 a 3;3 a 3;3 b 4;4 a 3",
+         "hard q=3 p=aba u=aba v=baa s=-"),
+        # a ring entered first, then a branching component, which the search
+        # finishes before the ring
+        ("0 1 2", "2", "0 a 1;1 a 0;1 b 2;2 a 2;2 b 2", "hard q=2 p=ab u=ab v=ba s=-"),
+        # a lone self-loop before a branching component that accepts only
+        # through an exit word
+        ("0 1 2 3", "3", "0 a 0;0 b 1;1 a 2;2 a 1;2 b 1;1 b 3",
+         "hard q=1 p=b u=aaab v=abaa s=b"),
+    ], ids=["transient-chain", "accepting-pivot", "ring-then-branching",
+            "self-loop-then-branching"])
+    def test_pinned_pivots(self, states, accept, trans, text):
+        f = _pinned_dfa("a b", states, accept, trans)
+        verdict = classify(f)
+        assert classification_to_text(verdict) == text + "\n"
+        assert verdict.witness == oracle_find_witness(trim(f))

@@ -89,6 +89,23 @@ class TestCompose:
                 assert _dfst_fields(compose_dfst(moved, moved)) \
                     == _dfst_fields(oracle_compose_dfst(moved, moved))
 
+    def test_one_entry_state_written_from_converging_readers(self):
+        """State 2 of t1 has one incoming edge, but that edge writes `x`,
+        and t1 takes it with the reader in both of its states 0 and 1, which
+        `x` takes to its state 2: the two pairs are one pair and are merged.
+        State 1, entered once on an empty output, is the pair after it."""
+        t1 = Dfst(("a", "b"), ("x", "y"), frozenset({0, 1, 2}), 0, frozenset({1}),
+                  {(0, "a"): ("y", 0), (0, "b"): ("x", 2), (2, "a"): ("", 1)})
+        t2 = Dfst(("x", "y"), ("x", "y"), frozenset({0, 1, 2}), 0, frozenset({2}),
+                  {(0, "y"): ("y", 1), (1, "y"): ("y", 1), (0, "x"): ("x", 2),
+                   (1, "x"): ("x", 2)})
+        got = compose_dfst(t1, t2)
+        assert _dfst_fields(got) == _dfst_fields(oracle_compose_dfst(t1, t2))
+        assert len(got.states) == 4  # (0, 0), (0, 1), (2, 2), (1, 2)
+        r = Dfa(("x", "y"), frozenset({0, 1, 2}), 0, frozenset({2}),
+                {(0, "y"): 1, (1, "y"): 1, (0, "x"): 2, (1, "x"): 2})
+        assert len(_restrict(t1, r).states) == 4
+
     def test_alphabet_check_comes_first(self):
         t1 = random_dfst(random.Random(1707), 3, out_alphabet=("a", "z"))
         t2 = random_dfst(random.Random(1709), 3)
